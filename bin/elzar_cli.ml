@@ -50,9 +50,8 @@ let engine_conv =
   in
   Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (Cpu.Machine.engine_to_string e))
 
-(* [None] means "not given": each command picks its own default (the
-   closure tier) and [inject] additionally honours the deprecated
-   [--reference-engine] alias. *)
+(* [None] means "not given": [run] falls back to the machine default,
+   [inject] to the campaign spec's engine. *)
 let engine_arg =
   Arg.(value & opt (some engine_conv) None
        & info [ "engine" ] ~docv:"ENGINE"
@@ -62,6 +61,15 @@ let engine_arg =
                  are bit-identical; only wall time differs.")
 
 let threads_arg = Arg.(value & opt int 2 & info [ "t"; "threads" ] ~doc:"Worker threads.")
+
+(* An unknown name is a usage error (exit 124) listing the valid ones. *)
+let workload_arg =
+  let names =
+    List.map
+      (fun w -> (w.Workloads.Workload.name, w.Workloads.Workload.name))
+      Workloads.Registry.(all @ extended @ micro)
+  in
+  Arg.(required & pos 0 (some (enum names)) None & info [] ~docv:"WORKLOAD")
 
 (* ---- list ---- *)
 
@@ -121,7 +129,6 @@ let run_cmd =
         Printf.printf "wrote %s\n" path
     | None -> ()
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let profile =
     Arg.(value & flag
          & info [ "profile" ]
@@ -136,14 +143,14 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on the simulated machine")
-    Term.(const run $ name_arg $ build_arg $ threads_arg $ size_arg $ profile
+    Term.(const run $ workload_arg $ build_arg $ threads_arg $ size_arg $ profile
           $ engine_arg $ json)
 
 (* ---- inject ---- *)
 
 (* One --chaos entry: EVENT@SLOT with an optional trailing '!' for
    "persistent" (act on every execution of the slot, not just the first).
-   EVENT is raise | hang | kill | slow:SECONDS. *)
+   EVENT is raise | kill | slow:SECONDS. *)
 let chaos_spec_of_string (s : string) : (Supervisor.chaos_spec, [ `Msg of string ]) result
     =
   let body, persistent =
@@ -161,7 +168,6 @@ let chaos_spec_of_string (s : string) : (Supervisor.chaos_spec, [ `Msg of string
           let event =
             match ev with
             | "raise" -> Ok Supervisor.Chaos_raise
-            | "hang" -> Ok Supervisor.Chaos_hang
             | "kill" -> Ok Supervisor.Chaos_kill
             | _ when String.length ev > 5 && String.sub ev 0 5 = "slow:" -> (
                 match float_of_string_opt (String.sub ev 5 (String.length ev - 5)) with
@@ -171,7 +177,7 @@ let chaos_spec_of_string (s : string) : (Supervisor.chaos_spec, [ `Msg of string
                 Error
                   (`Msg
                      (Printf.sprintf
-                        "chaos entry %S: unknown event %S (raise|hang|kill|slow:SECS)" s
+                        "chaos entry %S: unknown event %S (raise|kill|slow:SECS)" s
                         ev))
           in
           Result.map (fun e -> Supervisor.chaos ~persistent ~slot e) event))
@@ -192,16 +198,10 @@ let chaos_conv : Supervisor.chaos_plan Arg.conv =
 
 let inject_cmd =
   let run name build n seed jobs double same_bit model avf checkpoint quiet engine
-      reference_engine no_fast_forward json no_supervise retries deadline_factor
-      deadline_floor max_tool_errors chaos =
+      no_fast_forward json retries max_tool_errors chaos =
     let w = Workloads.Registry.find name in
     let spec = Workloads.Workload.fi_spec w ~build () in
-    let engine =
-      match engine with
-      | Some e -> e
-      | None ->
-          if reference_engine then Cpu.Machine.Reference else spec.Fault.engine
-    in
+    let engine = Option.value engine ~default:spec.Fault.engine in
     let spec = { spec with Fault.engine } in
     let fast_forward = not no_fast_forward in
     (* Ctrl-C / SIGTERM: cooperative cancellation.  The flag stops the
@@ -240,30 +240,19 @@ let inject_cmd =
                  else "");
             if p.Campaign.completed >= p.Campaign.total then prerr_newline ())
     in
-    let supervise =
-      if no_supervise then None
-      else
-        Some
-          {
-            Supervisor.retries;
-            deadline_factor;
-            deadline_floor;
-            max_tool_errors;
-          }
-    in
-    let model = Fault.model_of_string model in
+    let supervise = { Supervisor.retries; max_tool_errors } in
     let report =
       if double then
         Campaign.double ~seed ~n ~same_bit ?jobs ?progress ?checkpoint ~fast_forward
-          ?supervise ~chaos ~cancel spec
+          ~supervise ~chaos ~cancel spec
       else
         match model with
         | Fault.Reg ->
             Campaign.single ~seed ~n ?jobs ?progress ?checkpoint ~fast_forward
-              ?supervise ~chaos ~cancel spec
+              ~supervise ~chaos ~cancel spec
         | m ->
             Campaign.model_campaign ~seed ~n ?jobs ?progress ?checkpoint ~fast_forward
-              ?supervise ~chaos ~cancel ~model:m spec
+              ~supervise ~chaos ~cancel ~model:m spec
     in
     Format.printf "%a@." Fault.pp_stats report.Campaign.stats;
     let obs = Array.map snd report.Campaign.outcomes in
@@ -283,7 +272,7 @@ let inject_cmd =
         report.Campaign.quarantined
     end;
     if report.Campaign.worker_deaths > 0 then
-      Printf.eprintf "%d worker domain death(s); workers were respawned\n"
+      Printf.eprintf "%d worker death(s); their experiments were requeued\n"
         report.Campaign.worker_deaths;
     if report.Campaign.interrupted then
       Printf.eprintf "campaign interrupted; partial results above%s\n"
@@ -302,7 +291,6 @@ let inject_cmd =
             ("fault_model", Obs.Json.Str (Fault.model_to_string model));
             ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
             ("fast_forward", Obs.Json.Bool fast_forward);
-            ("supervised", Obs.Json.Bool (supervise <> None));
           ]
         in
         Report.write path (Report.campaign ~params report);
@@ -310,13 +298,12 @@ let inject_cmd =
     | None -> ());
     if report.Campaign.interrupted then
       exit (128 + if !sig_seen = Sys.sigterm then 15 else 2);
-    if supervise <> None && nq > max_tool_errors then begin
+    if nq > max_tool_errors then begin
       Printf.eprintf "too many tool errors: %d quarantined > --max-tool-errors %d\n" nq
         max_tool_errors;
       exit 3
     end
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let n = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Number of injections.") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let jobs =
@@ -329,7 +316,8 @@ let inject_cmd =
     Arg.(value & flag & info [ "double" ] ~doc:"Double-bit campaign (two flips, §III-C).")
   in
   let model =
-    Arg.(value & opt string "reg"
+    let models = List.map (fun m -> (Fault.model_to_string m, m)) Fault.all_models in
+    Arg.(value & opt (enum models) Fault.Reg
          & info [ "fault-model" ] ~docv:"MODEL"
              ~doc:"Fault model: reg (register SEUs, the paper's §IV-B campaign), mem \
                    (memory bit-flips), addr (effective-address faults), cf (control-flow \
@@ -353,12 +341,6 @@ let inject_cmd =
                    the same parameters resumes from it instead of restarting.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the progress meter.") in
-  let reference_engine =
-    Arg.(value & flag
-         & info [ "reference-engine" ]
-             ~doc:"Deprecated alias for --engine reference (ignored when --engine is \
-                   given).")
-  in
   let no_fast_forward =
     Arg.(value & flag
          & info [ "no-fast-forward" ]
@@ -372,31 +354,11 @@ let inject_cmd =
                    histogram, phase spans) to $(docv) as versioned JSON. The result \
                    sections are bit-identical for any --jobs value.")
   in
-  let no_supervise =
-    Arg.(value & flag
-         & info [ "no-supervise" ]
-             ~doc:"Run experiments without the supervision layer (no host-exception \
-                   retry/quarantine, no wall-clock watchdog, no worker respawn). \
-                   Results are bit-identical either way on campaigns with no tool \
-                   errors.")
-  in
   let retries =
     Arg.(value & opt int Supervisor.default.Supervisor.retries
          & info [ "retries" ]
              ~doc:"Re-executions of an experiment whose run raised a host exception \
-                   before it is quarantined.")
-  in
-  let deadline_factor =
-    Arg.(value & opt float Supervisor.default.Supervisor.deadline_factor
-         & info [ "deadline-factor" ]
-             ~doc:"Per-experiment wall-clock deadline, as a multiple of the running \
-                   median experiment time; a run aborted twice by the watchdog is \
-                   quarantined.")
-  in
-  let deadline_floor =
-    Arg.(value & opt float Supervisor.default.Supervisor.deadline_floor
-         & info [ "deadline-floor" ]
-             ~doc:"Never deadline an experiment below this many seconds.")
+                   (or killed its worker) before it is quarantined.")
   in
   let max_tool_errors =
     Arg.(value & opt int Supervisor.default.Supervisor.max_tool_errors
@@ -408,15 +370,14 @@ let inject_cmd =
     Arg.(value & opt chaos_conv []
          & info [ "chaos" ] ~docv:"PLAN"
              ~doc:"Test-only harness-failure injection: comma-separated EVENT@SLOT \
-                   entries (raise@3, hang@5, slow:0.2@7, kill@9; trailing '!' makes an \
-                   entry fire on every execution of its slot). Requires supervision.")
+                   entries (raise@3, slow:0.2@7, kill@9; trailing '!' makes an entry \
+                   fire on every execution of its slot).")
   in
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign")
-    Term.(const run $ name_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit $ model
-          $ avf $ checkpoint $ quiet $ engine_arg $ reference_engine $ no_fast_forward
-          $ json $ no_supervise $ retries $ deadline_factor $ deadline_floor
-          $ max_tool_errors $ chaos)
+    Term.(const run $ workload_arg $ build_arg $ n $ seed $ jobs $ double $ same_bit
+          $ model $ avf $ checkpoint $ quiet $ engine_arg $ no_fast_forward $ json
+          $ retries $ max_tool_errors $ chaos)
 
 (* ---- show ---- *)
 
@@ -428,11 +389,10 @@ let show_cmd =
     | Some f -> print_string (Ir.Printer.func_to_string f)
     | None -> Printf.printf "no function @%s\n" fname
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let fname = Arg.(value & pos 1 string "work" & info [] ~docv:"FUNCTION") in
   Cmd.v
     (Cmd.info "show" ~doc:"Print a function's IR after the selected pass pipeline")
-    Term.(const run $ name_arg $ fname $ build_arg $ size_arg)
+    Term.(const run $ workload_arg $ fname $ build_arg $ size_arg)
 
 (* ---- trace ---- *)
 
@@ -448,11 +408,10 @@ let trace_cmd =
     let lines = String.split_on_char '\n' (Buffer.contents buf) in
     List.iteri (fun i l -> if i < limit then print_endline l) lines
   in
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
   let limit = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Lines of trace to print.") in
   Cmd.v
     (Cmd.info "trace" ~doc:"Print an instruction-level execution trace (SDE debugtrace analogue)")
-    Term.(const run $ name_arg $ build_arg $ threads_arg $ size_arg $ limit)
+    Term.(const run $ workload_arg $ build_arg $ threads_arg $ size_arg $ limit)
 
 (* ---- app ---- *)
 

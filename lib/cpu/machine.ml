@@ -173,14 +173,14 @@ type config = {
       (** cancellation hook, polled once per scheduling quantum (the same
           boundary [on_quantum] fires on): the first [true] raises {!Abort}
           out of the run.  Kept a closure so callers can poll an atomic
-          flag set by a watchdog without the machine knowing about it;
+          cancel flag without the machine knowing about it;
           [None] compiles to a single match per quantum *)
   chaos : (unit -> unit) option;
       (** test-only chaos hook: invoked exactly once, at the first quantum
           boundary of the run, on the simulation thread.  Supervision
-          tests use it to raise host exceptions, stall the run until the
-          abort hook fires, or slow it down — proving the supervisor's
-          isolation/watchdog/retry paths against a real engine.  [None]
+          tests use it to raise host exceptions, kill the worker, or slow
+          the run down — proving the supervisor's isolation/retry and the
+          pool's worker-death paths against a real engine.  [None]
           (the default everywhere outside tests) costs one bool check per
           quantum *)
 }

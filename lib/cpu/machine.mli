@@ -128,9 +128,9 @@ val engine_to_string : engine_kind -> string
 
 (** Raised out of {!resume}/{!run} when the [abort] hook reports
     cancellation at a quantum boundary.  Not a {!trap_reason}: an aborted
-    run was cut short by the host (watchdog deadline, Ctrl-C), so it has
-    no outcome and must never be classified — supervisors catch it and
-    decide whether to retry or quarantine the experiment. *)
+    run was cut short by the host (Ctrl-C), so it has no outcome and must
+    never be classified — the supervisor reports the experiment as not
+    executed. *)
 exception Abort
 
 type config = {
@@ -158,13 +158,13 @@ type config = {
       (** cancellation hook, polled once per scheduling quantum (the
           boundary [on_quantum] fires on); the first [true] raises
           {!Abort} out of the run.  Cheap by construction: callers pass a
-          closure reading an atomic flag armed by an external watchdog,
+          closure reading an atomic cancel flag (Ctrl-C),
           and the simulated results of a run that was never aborted are
           bit-identical to one executed without the hook. *)
   chaos : (unit -> unit) option;
       (** test-only chaos hook, invoked exactly once at the first quantum
           boundary, on the simulation thread.  Supervision tests use it
-          to raise host exceptions, stall until [abort] fires, or sleep —
+          to raise host exceptions, kill the worker, or sleep —
           exercising every supervisor path against the real engine.
           [None] outside tests. *)
 }

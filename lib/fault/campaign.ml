@@ -21,13 +21,15 @@
     and simulated cycles.  Campaigns can checkpoint completed experiments
     to a file and resume after an interruption instead of restarting.
 
-    Supervision: with [supervise], experiments run under {!Supervisor} —
-    host exceptions are retried then quarantined, runaway runs are cut by
-    a wall-clock watchdog, dead worker domains are respawned, and an
-    external [cancel] flag stops the campaign at the next experiment
-    boundary (the checkpoint survives for a later resume).  Quarantined
-    experiments are excluded from the statistics and reported
-    separately. *)
+    Supervision: every experiment runs under {!Supervisor} — host
+    exceptions are retried then quarantined, an exception that kills a
+    worker requeues (then quarantines) its slot while the worker carries
+    on, and an external [cancel] flag stops the campaign at the next
+    quantum boundary (the checkpoint survives for a later resume).
+    Quarantined experiments are excluded from the statistics and reported
+    separately.  Nothing here reads a clock to decide anything: runaway
+    runs end as [Hang] outcomes at {!Fault.hang_budget}, so the results
+    depend only on workload, build, seed and plan. *)
 
 (* ---- sizing ---- *)
 
@@ -127,7 +129,7 @@ type report = {
   quarantined : Supervisor.tool_error list;
       (** supervisor-quarantined experiments, in plan-slot order; excluded
           from [stats]/[outcomes] *)
-  worker_deaths : int;  (** worker domains that died and were respawned *)
+  worker_deaths : int;  (** exceptions that escaped an experiment into the pool *)
   interrupted : bool;  (** cancelled before every experiment completed *)
   jobs : int;
   spans : Obs.Span.row list;  (** where the campaign's wall time went *)
@@ -145,9 +147,11 @@ type report = {
    the previous one (O(total) bytes over a whole campaign instead of
    O(total²)) and a crash mid-append costs at most the truncated tail
    record.  The magic line guards the unsafe [Marshal.from_channel]
-   against files in older formats (or other files altogether). *)
+   against files in older formats (or other files altogether); it changes
+   whenever a marshalled type does — [Marshal] decodes constant
+   constructors by index, so a renumbered variant must never be read. *)
 
-let ck_magic = "ELZCK4\n"
+let ck_magic = "ELZCK5\n"
 
 type ck_record =
   | Ck_obs of (int * int) * Fault.obs
@@ -305,36 +309,34 @@ type cell =
   | C_obs of Fault.obs
   | C_poison of Supervisor.tool_error
 
-(* Runs one batch of (plan slot, experiment) pairs over [jobs] domains.
-   Each worker builds its own machines ({!Fault.run_experiment} creates a
-   fresh one per run); the only shared mutable state is the claim counter,
-   the requeue list, the disjointly-indexed output array and [shared]
-   under its mutex.  Returns the cells in batch order.
+(* Runs one batch of (plan slot, experiment) pairs over [jobs] workers:
+   the calling domain runs worker 0 and [jobs - 1] domains are spawned
+   (none at [jobs = 1]).  Each worker builds its own machines
+   ({!Fault.run_experiment} creates a fresh one per run); the only shared
+   mutable state is the claim counter, the requeue list, the
+   disjointly-indexed output array and [shared] under its mutex.  Returns
+   the cells in batch order.
 
-   Supervised mode ([sup <> None]) always runs workers on spawned domains
-   — even at [jobs = 1] — so a worker death (a chaos kill, or a real
-   crashed domain) can never take down the calling domain: the join loop
-   detects the death, requeues the slot the dead worker held (re-executed
-   up to the supervisor's retry budget, then quarantined as
-   [Worker_death]) and respawns the worker. *)
+   An OCaml domain can only die from an exception escaping its function,
+   so the pool's death detection is a handler around each slot: an
+   exception escaping an experiment (a chaos kill, or a host failure
+   outside {!Supervisor.supervised_run}) counts a worker death and
+   requeues the slot — re-executed up to the supervisor's retry budget,
+   then quarantined as [Worker_death] — and the worker keeps claiming. *)
 let run_batch ~(jobs : int) ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.result)
     ~(snapshots : Cpu.Machine.snapshot array) ~(max_instrs : int) ~(round : int)
     ~ck_tbl ~ck_poison ~(writer : ck_writer option) ~(spans : Obs.Span.t)
     ~(shared : shared) ~(progress : (progress -> unit) option)
-    ~(sup : Supervisor.t option) ~(chaos : Supervisor.chaos_plan)
-    ~(cancel : bool Atomic.t option) (batch : (int * Fault.experiment) array) :
-    cell array =
+    ~(sup : Supervisor.config) ~(chaos : Supervisor.chaos_plan)
+    ~(cancel : bool Atomic.t) ~(deaths : int Atomic.t)
+    (batch : (int * Fault.experiment) array) : cell array =
   let k = Array.length batch in
   let out = Array.make k C_none in
   let next = Atomic.make 0 in
   let jobs = max 1 (min jobs k) in
-  (* slot index each worker currently holds (-1 = none): read by the join
-     loop after a worker death to find what must be requeued *)
-  let inflight = Array.make jobs (-1) in
   let rq_lock = Mutex.create () in
   let requeued = ref [] in
   let death_tries : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let cancelled () = match cancel with Some c -> Atomic.get c | None -> false in
   let claim () =
     match
       Mutex.protect rq_lock (fun () ->
@@ -351,8 +353,7 @@ let run_batch ~(jobs : int) ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.resu
   in
   (* Folds one finished slot into the shared state, snapshots progress for
      the callback, and returns any checkpoint records due for an append
-     (performed by the caller OUTSIDE the mutex).  Shared by the workers
-     and by the join loop's worker-death quarantine path. *)
+     (performed by the caller OUTSIDE the mutex). *)
   let record ~(slot : int) ~(fresh : bool) (c : cell) : ck_record list option =
     Mutex.lock shared.mutex;
     shared.completed <- shared.completed + 1;
@@ -441,94 +442,66 @@ let run_batch ~(jobs : int) ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.resu
     | Some recs, Some w -> ck_append w ~spans recs
     | _ -> ()
   in
-  let worker wid () =
-    let rec loop () =
-      if cancelled () then ()
-      else
-        match claim () with
-        | None -> ()
-        | Some i -> (
-            inflight.(wid) <- i;
-            let slot, e = batch.(i) in
-            let fresh, c =
-              match Hashtbl.find_opt ck_tbl (round, slot) with
-              | Some o -> (false, C_obs o)
-              | None -> (
-                  match Hashtbl.find_opt ck_poison (round, slot) with
-                  | Some te ->
-                      (* known-poison plan from a previous attempt: never
-                         re-execute it *)
-                      (false, C_poison te)
-                  | None -> (
-                      match sup with
-                      | None ->
-                          ( true,
-                            C_obs
-                              (Fault.observe ~golden
-                                 (if snapshots = [||] then
-                                    Fault.run_experiment ~max_instrs spec e
-                                  else
-                                    Fault.run_experiment_from ~max_instrs ~snapshots
-                                      ~spans spec e)) )
-                      | Some s -> (
-                          match
-                            Supervisor.supervised_run s ~wid ~round ~slot ~chaos
-                              ~max_instrs ~snapshots ~spans spec e
-                          with
-                          | Supervisor.V_ok r -> (true, C_obs (Fault.observe ~golden r))
-                          | Supervisor.V_quarantined te -> (true, C_poison te)
-                          | Supervisor.V_cancelled -> (true, C_none))))
-            in
-            inflight.(wid) <- -1;
-            match c with
-            | C_none -> ()  (* cancelled mid-run: slot stays unexecuted *)
-            | _ ->
-                out.(i) <- c;
-                finish ~slot ~fresh c;
-                loop ())
-    in
-    loop ()
+  (* What slot [i] yields: restored from the checkpoint, or executed. *)
+  let execute i : bool * cell =
+    let slot, e = batch.(i) in
+    match Hashtbl.find_opt ck_tbl (round, slot) with
+    | Some o -> (false, C_obs o)
+    | None -> (
+        match Hashtbl.find_opt ck_poison (round, slot) with
+        | Some te ->
+            (* known-poison plan from a previous attempt: never re-execute it *)
+            (false, C_poison te)
+        | None -> (
+            match
+              Supervisor.supervised_run sup ~cancel ~round ~slot ~chaos ~max_instrs
+                ~snapshots ~spans spec e
+            with
+            | Supervisor.V_ok r -> (true, C_obs (Fault.observe ~golden r))
+            | Supervisor.V_quarantined te -> (true, C_poison te)
+            | Supervisor.V_cancelled -> (true, C_none)))
   in
-  (match sup with
-  | None ->
-      if jobs = 1 then worker 0 ()
-      else
-        Array.iter Domain.join (Array.init jobs (fun wid -> Domain.spawn (worker wid)))
-  | Some s ->
-      let requeue_or_quarantine i =
-        let slot, _ = batch.(i) in
-        let tries = Option.value ~default:0 (Hashtbl.find_opt death_tries i) + 1 in
-        Hashtbl.replace death_tries i tries;
-        if tries > (Supervisor.config s).Supervisor.retries then begin
-          let te =
-            {
-              Supervisor.te_round = round;
-              te_slot = slot;
-              te_kind = Supervisor.Worker_death;
-              te_attempts = tries;
-              te_detail = "worker domain died while running this experiment";
-              te_backtrace = "";
-            }
-          in
-          out.(i) <- C_poison te;
-          finish ~slot ~fresh:true (C_poison te)
-        end
-        else Mutex.protect rq_lock (fun () -> requeued := i :: !requeued)
+  let died i =
+    Atomic.incr deaths;
+    let slot, _ = batch.(i) in
+    let tries =
+      Mutex.protect rq_lock (fun () ->
+          let tries = Option.value ~default:0 (Hashtbl.find_opt death_tries i) + 1 in
+          Hashtbl.replace death_tries i tries;
+          if tries <= sup.Supervisor.retries then requeued := i :: !requeued;
+          tries)
+    in
+    if tries > sup.Supervisor.retries then begin
+      let te =
+        {
+          Supervisor.te_round = round;
+          te_slot = slot;
+          te_kind = Supervisor.Worker_death;
+          te_attempts = tries;
+          te_detail = "worker died while running this experiment";
+          te_backtrace = "";
+        }
       in
-      (* joins one worker; a worker that died (rather than returned) has
-         its in-flight slot requeued or quarantined, and is respawned to
-         drain whatever work remains *)
-      let rec join_worker wid d =
-        match Domain.join d with
-        | () -> ()
-        | exception _ ->
-            Supervisor.note_death s;
-            let i = inflight.(wid) in
-            inflight.(wid) <- -1;
-            if i >= 0 then requeue_or_quarantine i;
-            join_worker wid (Domain.spawn (worker wid))
-      in
-      Array.iteri join_worker (Array.init jobs (fun wid -> Domain.spawn (worker wid))));
+      out.(i) <- C_poison te;
+      finish ~slot ~fresh:true (C_poison te)
+    end
+  in
+  let rec worker () =
+    if not (Atomic.get cancel) then
+      match claim () with
+      | None -> ()
+      | Some i ->
+          (match execute i with
+          | _, C_none -> ()  (* cancelled mid-run: slot stays unexecuted *)
+          | fresh, c ->
+              out.(i) <- c;
+              finish ~slot:(fst batch.(i)) ~fresh c
+          | exception _ -> died i);
+          worker ()
+  in
+  let helpers = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join helpers;
   out
 
 (** Runs a pre-drawn experiment list.  [redraw] supplies replacements for
@@ -539,18 +512,22 @@ let run_batch ~(jobs : int) ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.resu
     array) enables snapshot fast-forward: each experiment resumes from the
     latest golden snapshot preceding its injection site instead of
     replaying the whole fault-free prefix — outcomes are bit-identical
-    either way.  [supervise] runs every experiment under a {!Supervisor};
-    [chaos] (test-only, requires [supervise]) injects harness failures;
-    [cancel] stops the campaign at the next experiment boundary. *)
-let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder ?supervise
-    ?(chaos = []) ?cancel ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.result)
-    (exps : Fault.experiment array) : report =
+    either way.  Every experiment runs under a {!Supervisor} configured by
+    [supervise]; [chaos] (test-only) injects harness failures; [cancel]
+    stops the campaign at the next quantum boundary. *)
+let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder
+    ?(supervise = Supervisor.default) ?(chaos = []) ?cancel ~(spec : Fault.run_spec)
+    ~(golden : Cpu.Machine.result) (exps : Fault.experiment array) : report =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let n = Array.length exps in
   let max_instrs = Fault.hang_budget ~golden spec in
   let key = ck_key ~golden exps in
   let spans = match recorder with Some r -> r | None -> Obs.Span.make () in
-  let cancelled () = match cancel with Some c -> Atomic.get c | None -> false in
+  let cancel = match cancel with Some c -> c | None -> Atomic.make false in
+  let deaths = Atomic.make 0 in
+  (* quarantine records carry the raising exception's backtrace; without
+     this they would all be empty *)
+  Printexc.record_backtrace true;
   let shared =
     {
       mutex = Mutex.create ();
@@ -568,82 +545,77 @@ let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder ?super
       progress_warned = false;
     }
   in
-  let sup = Option.map (fun c -> Supervisor.start ?cancel c ~jobs) supervise in
   (* the whole batch-execution phase — including checkpoint load/replay
-     and the final fold — runs under the "exec" span; the supervisor's
-     watchdog domain is joined however the phase exits *)
+     and the final fold — runs under the "exec" span *)
   let outcomes, quarantined =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Supervisor.stop sup)
-      (fun () ->
-        Obs.Span.time spans "exec" (fun () ->
-            let ck_tbl, ck_poison, resume_at =
-              match checkpoint with
-              | Some path -> ck_load path ~key
-              | None -> (Hashtbl.create 1, Hashtbl.create 1, None)
-            in
-            let writer =
-              Option.map (fun path -> ck_open path ~key resume_at) checkpoint
-            in
-            (* an interrupted campaign must keep its checkpoint (that is
-               the point of having one) — with every buffered record
-               flushed, and no dangling open channel *)
-            Fun.protect
-              ~finally:(fun () ->
-                match writer with
-                | None -> ()
-                | Some w ->
-                    let recs =
-                      Mutex.protect shared.mutex (fun () ->
-                          let r = shared.ck_pending in
-                          shared.ck_pending <- [];
-                          shared.since_save <- 0;
-                          r)
-                    in
-                    if recs <> [] then ck_append w ~spans recs;
-                    ck_close w)
-              (fun () ->
-                let final = Array.make n None in
-                let poison = Array.make n None in
-                let pending = ref (Array.mapi (fun i e -> (i, e)) exps) in
-                let round = ref 0 in
-                while Array.length !pending > 0 && not (cancelled ()) do
-                  let batch = !pending in
-                  let cells =
-                    run_batch ~jobs ~spec ~golden ~snapshots ~max_instrs
-                      ~round:!round ~ck_tbl ~ck_poison ~writer ~spans ~shared
-                      ~progress ~sup ~chaos ~cancel batch
-                  in
-                  let next = ref [] in
-                  (* batch is in ascending plan-slot order (invariant
-                     below), so redraws happen in slot order: the RNG
-                     consumption is reproducible *)
-                  Array.iteri
-                    (fun i (c : cell) ->
-                      let slot, e = batch.(i) in
-                      match c with
-                      | C_obs o -> (
-                          match o.Fault.o_outcome with
-                          | Fault.Not_reached ->
-                              if !round < max_rounds - 1 then begin
-                                match redraw with
-                                | Some d -> next := (slot, d ()) :: !next
-                                | None -> ()
-                              end
-                          | _ -> final.(slot) <- Some (e, o))
-                      | C_poison te -> poison.(slot) <- Some te
-                      | C_none -> ())
-                    cells;
-                  pending := Array.of_list (List.rev !next);
-                  if !pending <> [||] then
-                    Mutex.protect shared.mutex (fun () ->
-                        shared.total <- shared.total + Array.length !pending);
-                  incr round
-                done;
-                ( Array.of_list (List.filter_map (fun x -> x) (Array.to_list final)),
-                  List.filter_map (fun x -> x) (Array.to_list poison) ))))
+    Obs.Span.time spans "exec" (fun () ->
+        let ck_tbl, ck_poison, resume_at =
+          match checkpoint with
+          | Some path -> ck_load path ~key
+          | None -> (Hashtbl.create 1, Hashtbl.create 1, None)
+        in
+        let writer =
+          Option.map (fun path -> ck_open path ~key resume_at) checkpoint
+        in
+        (* an interrupted campaign must keep its checkpoint (that is
+           the point of having one) — with every buffered record
+           flushed, and no dangling open channel *)
+        Fun.protect
+          ~finally:(fun () ->
+            match writer with
+            | None -> ()
+            | Some w ->
+                let recs =
+                  Mutex.protect shared.mutex (fun () ->
+                      let r = shared.ck_pending in
+                      shared.ck_pending <- [];
+                      shared.since_save <- 0;
+                      r)
+                in
+                if recs <> [] then ck_append w ~spans recs;
+                ck_close w)
+          (fun () ->
+            let final = Array.make n None in
+            let poison = Array.make n None in
+            let pending = ref (Array.mapi (fun i e -> (i, e)) exps) in
+            let round = ref 0 in
+            while Array.length !pending > 0 && not (Atomic.get cancel) do
+              let batch = !pending in
+              let cells =
+                run_batch ~jobs ~spec ~golden ~snapshots ~max_instrs
+                  ~round:!round ~ck_tbl ~ck_poison ~writer ~spans ~shared
+                  ~progress ~sup:supervise ~chaos ~cancel ~deaths batch
+              in
+              let next = ref [] in
+              (* batch is in ascending plan-slot order (invariant
+                 below), so redraws happen in slot order: the RNG
+                 consumption is reproducible *)
+              Array.iteri
+                (fun i (c : cell) ->
+                  let slot, e = batch.(i) in
+                  match c with
+                  | C_obs o -> (
+                      match o.Fault.o_outcome with
+                      | Fault.Not_reached ->
+                          if !round < max_rounds - 1 then begin
+                            match redraw with
+                            | Some d -> next := (slot, d ()) :: !next
+                            | None -> ()
+                          end
+                      | _ -> final.(slot) <- Some (e, o))
+                  | C_poison te -> poison.(slot) <- Some te
+                  | C_none -> ())
+                cells;
+              pending := Array.of_list (List.rev !next);
+              if !pending <> [||] then
+                Mutex.protect shared.mutex (fun () ->
+                    shared.total <- shared.total + Array.length !pending);
+              incr round
+            done;
+            ( Array.of_list (List.filter_map (fun x -> x) (Array.to_list final)),
+              List.filter_map (fun x -> x) (Array.to_list poison) )))
   in
-  let interrupted = cancelled () && shared.completed < shared.total in
+  let interrupted = Atomic.get cancel && shared.completed < shared.total in
   (match checkpoint with
   | Some path ->
       if (not interrupted) && Sys.file_exists path then (
@@ -664,7 +636,7 @@ let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder ?super
     restored = shared.restored;
     not_reached = shared.nreach;
     quarantined;
-    worker_deaths = (match sup with Some s -> Supervisor.worker_deaths s | None -> 0);
+    worker_deaths = Atomic.get deaths;
     interrupted;
     jobs;
     spans = Obs.Span.rows spans;

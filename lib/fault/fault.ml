@@ -46,14 +46,6 @@ let model_to_string = function
   | Cf -> "cf"
   | Mixed -> "mixed"
 
-let model_of_string = function
-  | "reg" -> Reg
-  | "mem" -> Mem
-  | "addr" -> Addr
-  | "cf" -> Cf
-  | "mixed" -> Mixed
-  | s -> invalid_arg (Printf.sprintf "Fault.model_of_string: %S" s)
-
 let all_models = [ Reg; Mem; Addr; Cf; Mixed ]
 
 (* Everything needed to run one experiment deterministically. *)

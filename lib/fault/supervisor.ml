@@ -3,18 +3,17 @@
     The design follows RepTFD's replay discipline: a suspect run is
     isolated, deterministically re-executed a bounded number of times, and
     only then given up on — except the suspect here is the *harness*
-    itself (a host exception out of the simulator, a wall-clock runaway, a
-    dead worker domain), not the simulated program.  Every verdict that
-    is not [V_ok] leaves the campaign's statistics untouched: supervision
-    may shrink the sample, never skew it. *)
+    itself (a host exception out of the simulator, a dead worker), not the
+    simulated program.  Every verdict that is not [V_ok] leaves the
+    campaign's statistics untouched: supervision may shrink the sample,
+    never skew it. *)
 
 (* ---- quarantine records ---- *)
 
-type error_kind = Host_exception | Deadline | Worker_death
+type error_kind = Host_exception | Worker_death
 
 let error_kind_to_string = function
   | Host_exception -> "exception"
-  | Deadline -> "timeout"
   | Worker_death -> "worker-death"
 
 type tool_error = {
@@ -28,19 +27,13 @@ type tool_error = {
 
 (* ---- configuration ---- *)
 
-type config = {
-  retries : int;
-  deadline_factor : float;
-  deadline_floor : float;
-  max_tool_errors : int;
-}
+type config = { retries : int; max_tool_errors : int }
 
-let default =
-  { retries = 2; deadline_factor = 10.0; deadline_floor = 5.0; max_tool_errors = 0 }
+let default = { retries = 2; max_tool_errors = 0 }
 
 (* ---- chaos plans (test-only) ---- *)
 
-type chaos_event = Chaos_raise | Chaos_hang | Chaos_slow of float | Chaos_kill
+type chaos_event = Chaos_raise | Chaos_slow of float | Chaos_kill
 
 type chaos_spec = {
   ch_slot : int;
@@ -60,115 +53,11 @@ exception Chaos_failure
 
 exception Worker_kill
 
-(* ---- running median of executed experiment times ---- *)
-
-(* A bounded ring of the most recent samples; the median is computed on
-   demand over a copy, so recording stays O(1) on the worker's path. *)
-let clock_window = 512
-
-type clock = { k_lock : Mutex.t; k_ring : float array; mutable k_n : int }
-
-let clock_make () =
-  { k_lock = Mutex.create (); k_ring = Array.make clock_window 0.0; k_n = 0 }
-
-let clock_record (k : clock) (v : float) =
-  Mutex.protect k.k_lock (fun () ->
-      k.k_ring.(k.k_n mod clock_window) <- v;
-      k.k_n <- k.k_n + 1)
-
-let clock_median (k : clock) : float option =
-  Mutex.protect k.k_lock (fun () ->
-      let n = min k.k_n clock_window in
-      if n = 0 then None
-      else begin
-        let a = Array.sub k.k_ring 0 n in
-        Array.sort compare a;
-        Some a.(n / 2)
-      end)
-
-(* ---- the supervisor ---- *)
-
-(* Per-worker watchdog slot.  The abort flag is the ONLY state the machine
-   ever reads (through the [abort] hook, one atomic load per quantum); the
-   deadline is written by the worker when it arms a run and read by the
-   watchdog domain.  [infinity] = idle. *)
-type slot = { sl_abort : bool Atomic.t; sl_deadline : float Atomic.t }
-
-type t = {
-  cfg : config;
-  clock : clock;
-  slots : slot array;
-  cancel : bool Atomic.t;
-  deaths : int Atomic.t;
-  wd_stop : bool Atomic.t;
-  mutable wd : unit Domain.t option;
-}
-
-(* How often the watchdog scans the slots.  Bounds both the deadline
-   enforcement slack and the Ctrl-C propagation latency. *)
-let watchdog_tick = 0.01
-
-let watchdog (s : t) () =
-  while not (Atomic.get s.wd_stop) do
-    let now = Unix.gettimeofday () in
-    let cancelled = Atomic.get s.cancel in
-    Array.iter
-      (fun sl ->
-        if cancelled || now > Atomic.get sl.sl_deadline then Atomic.set sl.sl_abort true)
-      s.slots;
-    Unix.sleepf watchdog_tick
-  done
-
-let start ?cancel (cfg : config) ~(jobs : int) : t =
-  (* quarantine records carry the raising exception's backtrace; without
-     this they would all be empty *)
-  Printexc.record_backtrace true;
-  let s =
-    {
-      cfg;
-      clock = clock_make ();
-      slots =
-        Array.init (max 1 jobs) (fun _ ->
-            { sl_abort = Atomic.make false; sl_deadline = Atomic.make infinity });
-      cancel = (match cancel with Some c -> c | None -> Atomic.make false);
-      deaths = Atomic.make 0;
-      wd_stop = Atomic.make false;
-      wd = None;
-    }
-  in
-  s.wd <- Some (Domain.spawn (watchdog s));
-  s
-
-let stop (s : t) : unit =
-  Atomic.set s.wd_stop true;
-  Option.iter Domain.join s.wd;
-  s.wd <- None
-
-let cancelled (s : t) = Atomic.get s.cancel
-
-let config (s : t) = s.cfg
-
-let worker_deaths (s : t) = Atomic.get s.deaths
-
-let note_death (s : t) = Atomic.incr s.deaths
-
-let record_sample (s : t) (v : float) = clock_record s.clock v
-
-(* Deadline for the next run: factor x running median once one exists.
-   Cold start (no executed experiment yet) falls back to factor x floor —
-   generous under the production defaults (50 s), and still tight in
-   tests, which shrink both knobs. *)
-let deadline (s : t) : float =
-  match clock_median s.clock with
-  | Some m -> Float.max s.cfg.deadline_floor (s.cfg.deadline_factor *. m)
-  | None -> Float.max s.cfg.deadline_floor (s.cfg.deadline_factor *. s.cfg.deadline_floor)
-
 (* The machine-side chaos hook for one attempt at [slot], or [None].  The
    hit counter advances on every *consultation* (i.e. every execution of
    the slot), so tests can assert a quarantined-then-resumed slot was
    never re-executed; one-shot specs only act on their first hit. *)
-let chaos_hook (plan : chaos_plan) ~(slot : int) ~(worker : slot) : (unit -> unit) option
-    =
+let chaos_hook (plan : chaos_plan) ~(slot : int) : (unit -> unit) option =
   match List.find_opt (fun c -> c.ch_slot = slot) plan with
   | None -> None
   | Some c ->
@@ -179,14 +68,7 @@ let chaos_hook (plan : chaos_plan) ~(slot : int) ~(worker : slot) : (unit -> uni
           (match c.ch_event with
           | Chaos_raise -> fun () -> raise Chaos_failure
           | Chaos_kill -> fun () -> raise Worker_kill
-          | Chaos_slow d -> fun () -> Unix.sleepf d
-          | Chaos_hang ->
-              (* stall until the watchdog flags the slot; the machine's own
-                 abort poll then raises at this same quantum boundary *)
-              fun () ->
-               while not (Atomic.get worker.sl_abort) do
-                 Unix.sleepf 0.001
-               done)
+          | Chaos_slow d -> fun () -> Unix.sleepf d)
 
 (* ---- one supervised experiment ---- *)
 
@@ -195,73 +77,42 @@ type verdict =
   | V_quarantined of tool_error
   | V_cancelled
 
-let supervised_run (s : t) ~(wid : int) ~(round : int) ~(slot : int)
+let supervised_run (cfg : config) ~(cancel : bool Atomic.t) ~(round : int) ~(slot : int)
     ~(chaos : chaos_plan) ~(max_instrs : int)
     ~(snapshots : Cpu.Machine.snapshot array) ~(spans : Obs.Span.t)
     (spec : Fault.run_spec) (e : Fault.experiment) : verdict =
-  let sl = s.slots.(wid) in
-  let abort_hook () = Atomic.get sl.sl_abort in
-  let disarm () = Atomic.set sl.sl_deadline infinity in
-  (* [attempts] = executions started; [timeouts]/[failures] = budget used
-     per failure class.  An aborted run is retried once (a second deadline
-     overrun is no longer plausible scheduling noise); a raising run is
-     retried [cfg.retries] times (RepTFD-style bounded replay: a
-     deterministic failure will reproduce, an environmental one —
-     Out_of_memory, a chaos injection — may clear). *)
-  let rec attempt ~(attempts : int) ~(timeouts : int) ~(failures : int) : verdict =
-    if Atomic.get s.cancel then V_cancelled
-    else begin
-      let hook = chaos_hook chaos ~slot ~worker:sl in
-      let dl = deadline s in
-      Atomic.set sl.sl_abort false;
-      let t0 = Unix.gettimeofday () in
-      Atomic.set sl.sl_deadline (t0 +. dl);
+  let abort () = Atomic.get cancel in
+  (* A raising run is retried [cfg.retries] times (RepTFD-style bounded
+     replay: a deterministic failure will reproduce, an environmental one
+     — Out_of_memory, a chaos injection — may clear). *)
+  let rec attempt ~(failures : int) : verdict =
+    if Atomic.get cancel then V_cancelled
+    else
+      let hook = chaos_hook chaos ~slot in
       match
-        Fault.run_experiment_from ~max_instrs ~spans ~abort:abort_hook ?chaos:hook
-          ~snapshots spec e
+        Fault.run_experiment_from ~max_instrs ~spans ~abort ?chaos:hook ~snapshots spec e
       with
-      | r ->
-          disarm ();
-          clock_record s.clock (Unix.gettimeofday () -. t0);
-          V_ok r
-      | exception Cpu.Machine.Abort ->
-          disarm ();
-          if Atomic.get s.cancel then V_cancelled
-          else if timeouts >= 1 then
-            V_quarantined
-              {
-                te_round = round;
-                te_slot = slot;
-                te_kind = Deadline;
-                te_attempts = attempts + 1;
-                (* static text: quarantine records land in the
-                   deterministic results block, so no measured values *)
-                te_detail = "wall-clock deadline exceeded twice";
-                te_backtrace = "";
-              }
-          else attempt ~attempts:(attempts + 1) ~timeouts:(timeouts + 1) ~failures
+      | r -> V_ok r
+      | exception Cpu.Machine.Abort -> V_cancelled
       | exception Worker_kill ->
-          (* deliberate worker death (chaos): let it escape and kill the
-             domain — the pool's death detection requeues the slot *)
-          disarm ();
+          (* deliberate worker death (chaos): let it escape to the pool's
+             death handler, which requeues or quarantines the slot *)
           raise Worker_kill
       | exception exn ->
           let bt = Printexc.get_backtrace () in
-          disarm ();
-          if failures >= s.cfg.retries then
+          if failures >= cfg.retries then
             V_quarantined
               {
                 te_round = round;
                 te_slot = slot;
                 te_kind = Host_exception;
-                te_attempts = attempts + 1;
+                te_attempts = failures + 1;
                 te_detail = Printexc.to_string exn;
                 te_backtrace = bt;
               }
-          else attempt ~attempts:(attempts + 1) ~timeouts ~failures:(failures + 1)
-    end
+          else attempt ~failures:(failures + 1)
   in
-  attempt ~attempts:0 ~timeouts:0 ~failures:0
+  attempt ~failures:0
 
 let pp_tool_error fmt (te : tool_error) =
   Format.fprintf fmt "slot %d (round %d): %s after %d attempt%s%s" te.te_slot te.te_round

@@ -2,43 +2,45 @@
 
     The campaign engine assumes every experiment returns an observation;
     this module makes that assumption safe at scale.  It wraps
-    {!Fault.run_experiment_from} with three defenses, modelled on RepTFD's
-    bounded-replay discipline (PAPERS.md) applied to the harness itself:
+    {!Fault.run_experiment_from} with RepTFD's bounded-replay discipline
+    (PAPERS.md) applied to the harness itself:
 
     - {b host-exception isolation} — any exception escaping a run
       (simulator invariant violation, [Stack_overflow], [Out_of_memory])
       is captured with its backtrace and deterministically re-executed up
       to [retries] times; a persistent failure is quarantined into a
       {!tool_error} instead of killing the worker pool;
-    - {b wall-clock watchdog} — each run gets a deadline of
-      [deadline_factor] x the running median of executed experiment times
-      (floored at [deadline_floor]); a dedicated watchdog domain arms a
-      per-worker cancellation flag that the machine polls through the
-      cheap {!Cpu.Machine.config.abort} hook at quantum boundaries.
-      Aborted runs are retried once, then quarantined;
-    - {b chaos injection} — a test-only plan (raise / hang / slow /
-      kill-worker on chosen plan slots) compiled into the machine's
+    - {b cooperative cancellation} — the machine's
+      {!Cpu.Machine.config.abort} hook reads the campaign's [cancel]
+      flag at every quantum boundary, so Ctrl-C stops an in-flight run
+      without a clock or a watchdog;
+    - {b chaos injection} — a test-only plan (raise / slow / kill-worker
+      on chosen plan slots) compiled into the machine's
       {!Cpu.Machine.config.chaos} hook, proving each supervision path
       end-to-end against the real engine.
+
+    Runaway simulations need no wall-clock deadline: every quantum retires
+    at least one instruction and campaigns pass {!Fault.hang_budget}, so
+    they end as [Hang] outcomes, counted in simulated instructions.
 
     Quarantined experiments carry no observation: they are excluded from
     campaign statistics (supervision may shrink the sample, never skew
     it), persisted in the campaign checkpoint so a resume never re-executes
     a known-poison plan, and surfaced in the report.  {!Campaign.run}
-    drives this module; tests may also call {!supervised_run} directly. *)
+    drives this module and owns the worker pool, including its
+    worker-death handling. *)
 
 (** Why an experiment was quarantined. *)
 type error_kind =
   | Host_exception  (** an exception escaped the run on every attempt *)
-  | Deadline  (** the wall-clock watchdog aborted the run twice *)
-  | Worker_death  (** the worker domain died while running the slot *)
+  | Worker_death  (** the worker died while running the slot on every attempt *)
 
 val error_kind_to_string : error_kind -> string
 
 (** A quarantined experiment: plan position, failure class, attempts
-    consumed, and the exception text/backtrace (empty for deadlines).
-    Everything except [te_backtrace] is deterministic under a chaos plan
-    and is rendered into the report's results block. *)
+    consumed, and the exception text/backtrace.  Everything except
+    [te_backtrace] is deterministic under a chaos plan and is rendered
+    into the report's results block. *)
 type tool_error = {
   te_round : int;
   te_slot : int;
@@ -49,25 +51,23 @@ type tool_error = {
 }
 
 type config = {
-  retries : int;  (** re-executions of a raising run before quarantine *)
-  deadline_factor : float;  (** deadline = factor x running median *)
-  deadline_floor : float;  (** never deadline below this many seconds *)
+  retries : int;
+      (** re-executions of a raising run (or of a slot whose worker died)
+          before quarantine *)
   max_tool_errors : int;
       (** campaign-level tolerance: more quarantines than this is a
           nonzero exit for the CLI (the library only reports) *)
 }
 
-(** [{ retries = 2; deadline_factor = 10.0; deadline_floor = 5.0;
-    max_tool_errors = 0 }] *)
+(** [{ retries = 2; max_tool_errors = 0 }] *)
 val default : config
 
 (** {2 Chaos plans (test-only)} *)
 
 type chaos_event =
   | Chaos_raise  (** raise {!Chaos_failure} out of the engine *)
-  | Chaos_hang  (** stall the run until the watchdog aborts it *)
   | Chaos_slow of float  (** sleep this many seconds, then run normally *)
-  | Chaos_kill  (** raise {!Worker_kill}: the worker domain dies *)
+  | Chaos_kill  (** raise {!Worker_kill}: the worker dies *)
 
 type chaos_spec
 
@@ -88,60 +88,25 @@ val chaos_hits : chaos_spec -> int
 exception Chaos_failure
 
 (** What {!Chaos_kill} raises.  {!supervised_run} deliberately re-raises
-    it so the worker domain dies, exercising the pool's death-detection
-    and respawn path. *)
+    it, exercising the pool's worker-death path. *)
 exception Worker_kill
-
-(** {2 Supervisor lifecycle} *)
-
-type t
-
-(** [start cfg ~jobs] builds the per-worker watchdog slots and spawns the
-    watchdog domain (one per campaign, scanning every ~10 ms).  [cancel]
-    is an external cancellation flag (Ctrl-C): once set, every in-flight
-    run is aborted and subsequent {!supervised_run} calls return
-    [V_cancelled] immediately. *)
-val start : ?cancel:bool Atomic.t -> config -> jobs:int -> t
-
-(** Stops and joins the watchdog domain.  Call exactly once, after the
-    worker pool has drained. *)
-val stop : t -> unit
-
-val cancelled : t -> bool
-
-(** The configuration the supervisor was started with (the campaign pool
-    reuses [retries] as the worker-death re-execution budget). *)
-val config : t -> config
-
-(** Worker domains that died and were respawned so far. *)
-val worker_deaths : t -> int
-
-val note_death : t -> unit
-
-(** Folds one executed-experiment wall time into the running median the
-    watchdog derives deadlines from. *)
-val record_sample : t -> float -> unit
-
-(** Current per-run deadline in seconds: [factor x median] of the recorded
-    samples (cold start: [factor x floor]), floored at [deadline_floor]. *)
-val deadline : t -> float
 
 (** {2 One supervised experiment} *)
 
 type verdict =
   | V_ok of Cpu.Machine.result  (** the run completed; result untouched *)
   | V_quarantined of tool_error  (** gave up; exclude the slot and record *)
-  | V_cancelled  (** external cancel: slot simply not executed *)
+  | V_cancelled  (** [cancel] was set: slot simply not executed *)
 
-(** [supervised_run s ~wid ~round ~slot ~chaos ~max_instrs ~snapshots
-    ~spans spec e] executes one experiment under worker [wid]'s watchdog
-    slot with retry/quarantine as configured.  Results of [V_ok] runs are
-    bit-identical to unsupervised execution.  @raise Worker_kill when a
-    {!Chaos_kill} fires (the caller's pool must treat it as worker
-    death). *)
+(** [supervised_run cfg ~cancel ~round ~slot ~chaos ~max_instrs
+    ~snapshots ~spans spec e] executes one experiment with retry/quarantine
+    as configured; the run aborts at the next quantum boundary once
+    [cancel] is set.  Results of [V_ok] runs are bit-identical to
+    {!Fault.run_experiment}.  @raise Worker_kill when a {!Chaos_kill}
+    fires (the caller's pool must treat it as worker death). *)
 val supervised_run :
-  t ->
-  wid:int ->
+  config ->
+  cancel:bool Atomic.t ->
   round:int ->
   slot:int ->
   chaos:chaos_plan ->

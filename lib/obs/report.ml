@@ -5,8 +5,12 @@
 module J = Obs.Json
 
 (* v2: campaign results gained "quarantined"/"tool_errors" (supervised
-   execution), campaign timing gained "worker_deaths"/"interrupted". *)
-let version = 2
+   execution), campaign timing gained "worker_deaths"/"interrupted".
+   v3: every campaign is supervised, so "elzar.bench.campaign" rows
+   dropped "supervised_seconds"/"supervision_overhead" and the CLI
+   campaign params dropped "supervised"; the "timeout" tool-error kind is
+   gone. *)
+let version = 3
 
 let versioned ~(schema : string) (fields : (string * J.t) list) : J.t =
   J.Obj (("schema", J.Str schema) :: ("version", J.Int version) :: fields)
@@ -122,8 +126,8 @@ let campaign_results (r : Campaign.report) : J.t =
       ("avf", avf (Fault.avf_table obs));
       ("latency", latency obs);
       ("not_reached", J.Int r.Campaign.not_reached);
-      (* always rendered (0/[] when unsupervised): a supervised chaos-free
-         campaign's results block is bit-identical to an unsupervised one *)
+      (* always rendered (0/[] without tool errors), so the block has one
+         shape for every campaign *)
       ("quarantined", J.Int (List.length r.Campaign.quarantined));
       ("tool_errors", J.List (List.map tool_error r.Campaign.quarantined));
     ]

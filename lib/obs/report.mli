@@ -42,8 +42,7 @@ val profile : Cpu.Profile.t -> Obs.Json.t
 (** The deterministic sections of a campaign report: stats, outcome
     histogram, AVF table, latency histogram, and (since version 2) the
     quarantine count and tool-error records of supervised execution —
-    rendered as [0]/[[]] when unsupervised, so the block stays
-    bit-identical with supervision on or off.  Bit-identical for any
+    rendered as [0]/[[]] when nothing was quarantined.  Bit-identical for any
     worker count, with or without fast-forward or checkpoint resume
     (quarantine backtraces, which vary host to host, are excluded). *)
 val campaign_results : Campaign.report -> Obs.Json.t

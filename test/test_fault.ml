@@ -387,22 +387,70 @@ let test_hang_budget () =
   Alcotest.(check int) "spec budget stays an upper bound" 500
     (Fault.hang_budget ~golden tight)
 
-(* ---- a corrupt checkpoint file restarts the campaign instead of
-   crashing it (and instead of silently resuming garbage) ---- *)
+(* Runs [f] with stderr redirected to a temporary file; returns [f]'s
+   result and what it printed there. *)
+let capture_stderr f =
+  let tmp = Filename.temp_file "elzar_stderr" ".txt" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin tmp In_channel.input_all in
+  Sys.remove tmp;
+  (r, text)
+
+(* ---- a corrupt or stale-format checkpoint file restarts the campaign
+   with a warning, instead of crashing it (and instead of silently
+   resuming garbage) ---- *)
 
 let test_corrupt_checkpoint_restarts () =
   let spec = spec_of (Elzar.Hardened Elzar.Harden_config.default) in
   let baseline = Campaign.single ~seed:31 ~n:12 ~jobs:1 spec in
-  let path = Filename.temp_file "elzar_campaign" ".ck" in
-  let oc = open_out_bin path in
-  output_string oc "not a checkpoint at all";
-  close_out oc;
-  let r = Campaign.single ~seed:31 ~n:12 ~jobs:1 ~checkpoint:path spec in
-  check_bool "campaign completed from scratch" true
-    (r.Campaign.stats = baseline.Campaign.stats);
-  Alcotest.(check int) "all experiments re-executed" baseline.Campaign.experiments_run
-    r.Campaign.experiments_run;
-  if Sys.file_exists path then Sys.remove path
+  let garbage path =
+    let oc = open_out_bin path in
+    output_string oc "not a checkpoint at all";
+    close_out oc
+  in
+  (* a genuine partial checkpoint of this very campaign, relabelled with
+     the previous format's magic: its records marshal a tool-error kind
+     whose constructor numbering has since changed, so only the magic
+     keeps them from being decoded *)
+  let previous_format path =
+    let cancel = Atomic.make false in
+    ignore
+      (Campaign.single ~seed:31 ~n:12 ~jobs:1 ~checkpoint:path ~cancel
+         ~progress:(fun p -> if p.Campaign.completed >= 6 then Atomic.set cancel true)
+         spec);
+    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+    ignore (Unix.write_substring fd "ELZCK4\n" 0 7);
+    Unix.close fd
+  in
+  List.iter
+    (fun (what, write) ->
+      let path = Filename.temp_file "elzar_campaign" ".ck" in
+      write path;
+      let r, err =
+        capture_stderr (fun () ->
+            Campaign.single ~seed:31 ~n:12 ~jobs:1 ~checkpoint:path spec)
+      in
+      check_bool (what ^ ": campaign completed from scratch") true
+        (r.Campaign.stats = baseline.Campaign.stats);
+      Alcotest.(check int)
+        (what ^ ": all experiments re-executed")
+        baseline.Campaign.experiments_run r.Campaign.experiments_run;
+      check_bool (what ^ ": stale warning printed") true
+        (Test_ir.contains err "unreadable or stale, restarting campaign");
+      if Sys.file_exists path then Sys.remove path)
+    [ ("garbage", garbage); ("ELZCK4", previous_format) ]
 
 (* ---- the Fig. 13-extension acceptance property: under the adversarial
    double-bit same-bit campaign, Reexec strictly reduces crashed%

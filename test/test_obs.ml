@@ -275,7 +275,7 @@ let test_resume_eta_uses_executed_rate () =
        resumed);
   List.iter
     (fun (p : Campaign.progress) ->
-      (* unsupervised resume: quarantined = 0, so executed is just
+      (* chaos-free resume: quarantined = 0, so executed is just
          completed - restored *)
       let executed = p.Campaign.completed - p.Campaign.restored in
       if executed = 0 then (
