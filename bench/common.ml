@@ -6,8 +6,8 @@ let size = ref Workloads.Workload.Medium
 let fi_injections = ref 150
 
 (* Execution engine for the simulation runs behind the figures.  Set with
-   --engine; experiments that sweep or compare engines themselves (interp,
-   campaign_speed) ignore it and measure all tiers. *)
+   --engine; experiments that compare engines themselves (interp,
+   campaign_speed) ignore it and measure both. *)
 let engine = ref Cpu.Machine.default_config.Cpu.Machine.engine
 
 (* Fault-injection campaign worker pool: 0 = auto (one worker per

@@ -30,9 +30,9 @@ let experiments =
 let usage () =
   Printf.printf
     "usage: main.exe [%s] [--size tiny|small|medium|large] \
-     [--engine reference|closure|block] [--injections N] [--fi-jobs J] \
-     [--fi-progress] [--json]\n"
-    (String.concat "|" (List.map fst experiments));
+     [--engine %s] [--injections N] [--fi-jobs J] [--fi-progress] [--json]\n"
+    (String.concat "|" (List.map fst experiments))
+    (String.concat "|" (List.map Cpu.Machine.engine_to_string Cpu.Machine.engines));
   exit 1
 
 let () =
@@ -50,12 +50,9 @@ let () =
            | _ -> usage ());
         parse rest
     | "--engine" :: e :: rest ->
+        let named k = Cpu.Machine.engine_to_string k = e in
         (Common.engine :=
-           match e with
-           | "reference" -> Cpu.Machine.Reference
-           | "closure" -> Cpu.Machine.Closure
-           | "block" -> Cpu.Machine.Block
-           | _ -> usage ());
+           match List.find_opt named Cpu.Machine.engines with Some k -> k | None -> usage ());
         parse rest
     | "--injections" :: n :: rest ->
         Common.fi_injections := int_of_string n;

@@ -41,24 +41,18 @@ let build_arg =
 let size_arg =
   Arg.(value & opt size_conv Workloads.Workload.Small & info [ "s"; "size" ] ~doc:"Input size.")
 
-let engine_conv =
-  let parse = function
-    | "reference" -> Ok Cpu.Machine.Reference
-    | "closure" -> Ok Cpu.Machine.Closure
-    | "block" -> Ok Cpu.Machine.Block
-    | s -> Error (`Msg ("unknown engine " ^ s ^ " (expected reference, closure or block)"))
-  in
-  Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (Cpu.Machine.engine_to_string e))
-
 (* [None] means "not given": [run] falls back to the machine default,
    [inject] to the campaign spec's engine. *)
 let engine_arg =
-  Arg.(value & opt (some engine_conv) None
+  let engines =
+    List.map (fun e -> (Cpu.Machine.engine_to_string e, e)) Cpu.Machine.engines
+  in
+  Arg.(value & opt (some (enum engines)) None
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Execution engine: reference (the interpreter, kept as the executable \
-                 specification), closure (per-instruction threaded code, the default) or \
-                 block (fused superblock closures with precomputed timing). All engines \
-                 are bit-identical; only wall time differs.")
+                 specification) or compiled (the default: closures compiled on first \
+                 execution, straight-line runs fused into superblocks). Both are \
+                 bit-identical; only wall time differs.")
 
 let threads_arg = Arg.(value & opt int 2 & info [ "t"; "threads" ] ~doc:"Worker threads.")
 
@@ -92,47 +86,52 @@ let list_cmd =
 
 let run_cmd =
   let run name build nthreads size profile engine json =
-    let w = Workloads.Registry.find name in
-    let prof = if profile then Some (Cpu.Profile.create ()) else None in
     let engine =
       Option.value engine ~default:Cpu.Machine.default_config.Cpu.Machine.engine
     in
-    let machine_cfg =
-      { Cpu.Machine.default_config with Cpu.Machine.profile = prof; engine }
-    in
-    let r = Workloads.Workload.execute ~machine_cfg w ~build ~nthreads ~size in
-    (match r.Cpu.Machine.trap with
-    | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
-    | None -> ());
-    let c = r.Cpu.Machine.totals in
-    Printf.printf "build        %s\n" (Elzar.build_name build);
-    Printf.printf "wall cycles  %d\n" r.Cpu.Machine.wall_cycles;
-    Printf.printf "instructions %d (avx %d)\n" c.Cpu.Counters.instrs c.Cpu.Counters.avx_instrs;
-    Printf.printf "loads/stores %d / %d (L1 miss %.2f%%)\n" c.Cpu.Counters.loads
-      c.Cpu.Counters.stores (Cpu.Counters.l1_miss_pct c);
-    Printf.printf "branches     %d (miss %.2f%%)\n" c.Cpu.Counters.branches
-      (Cpu.Counters.branch_miss_pct c);
-    Printf.printf "output       %s\n" (Digest.to_hex r.Cpu.Machine.output_digest);
-    (match prof with Some p -> Format.printf "%a" Cpu.Profile.pp p | None -> ());
-    match json with
-    | Some path ->
-        let params =
-          [
-            ("workload", Obs.Json.Str name);
-            ("build", Obs.Json.Str (Elzar.build_name build));
-            ("threads", Obs.Json.Int nthreads);
-            ("size", Obs.Json.Str (Workloads.Workload.size_to_string size));
-            ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
-          ]
-        in
-        Report.write path (Report.run_result ~params ?profile:prof r);
-        Printf.printf "wrote %s\n" path
-    | None -> ()
+    if profile && engine <> Cpu.Machine.Compiled then
+      `Error (true, "--profile needs the compiled engine")
+    else begin
+      let w = Workloads.Registry.find name in
+      let prof = if profile then Some (Cpu.Profile.create ()) else None in
+      let machine_cfg =
+        { Cpu.Machine.default_config with Cpu.Machine.profile = prof; engine }
+      in
+      let r = Workloads.Workload.execute ~machine_cfg w ~build ~nthreads ~size in
+      (match r.Cpu.Machine.trap with
+      | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
+      | None -> ());
+      let c = r.Cpu.Machine.totals in
+      Printf.printf "build        %s\n" (Elzar.build_name build);
+      Printf.printf "wall cycles  %d\n" r.Cpu.Machine.wall_cycles;
+      Printf.printf "instructions %d (avx %d)\n" c.Cpu.Counters.instrs c.Cpu.Counters.avx_instrs;
+      Printf.printf "loads/stores %d / %d (L1 miss %.2f%%)\n" c.Cpu.Counters.loads
+        c.Cpu.Counters.stores (Cpu.Counters.l1_miss_pct c);
+      Printf.printf "branches     %d (miss %.2f%%)\n" c.Cpu.Counters.branches
+        (Cpu.Counters.branch_miss_pct c);
+      Printf.printf "output       %s\n" (Digest.to_hex r.Cpu.Machine.output_digest);
+      (match prof with Some p -> Format.printf "%a" Cpu.Profile.pp p | None -> ());
+      (match json with
+      | Some path ->
+          let params =
+            [
+              ("workload", Obs.Json.Str name);
+              ("build", Obs.Json.Str (Elzar.build_name build));
+              ("threads", Obs.Json.Int nthreads);
+              ("size", Obs.Json.Str (Workloads.Workload.size_to_string size));
+              ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
+            ]
+          in
+          Report.write path (Report.run_result ~params ?profile:prof r);
+          Printf.printf "wrote %s\n" path
+      | None -> ());
+      `Ok ()
+    end
   in
   let profile =
     Arg.(value & flag
          & info [ "profile" ]
-             ~doc:"Attribute simulated cycles per instruction class (closure engine \
+             ~doc:"Attribute simulated cycles per instruction class (compiled engine \
                    only) and print the table.")
   in
   let json =
@@ -143,8 +142,8 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on the simulated machine")
-    Term.(const run $ workload_arg $ build_arg $ threads_arg $ size_arg $ profile
-          $ engine_arg $ json)
+    Term.(ret (const run $ workload_arg $ build_arg $ threads_arg $ size_arg $ profile
+               $ engine_arg $ json))
 
 (* ---- inject ---- *)
 

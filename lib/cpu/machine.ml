@@ -125,25 +125,21 @@ let second_flip ~(dlanes : int) ~(lane : int) ~(bit : int) ~(lane2 : int) ~(bit2
   else if l2 = l1 then ((l1 + 1 + (lane2 mod (dlanes - 1))) mod dlanes, b2)
   else (l2, b2)
 
-(* Three-tier execution engine.  [Closure] is the threaded-code tier: at
-   machine-build time every [rinstr] is translated into a pre-specialized
-   OCaml closure (operand offsets, lane strides, flag bookkeeping and the
-   fault-injection hooks of *this* config resolved once), and the dispatch
-   loop just tail-calls through the closure array.  [Block] additionally
-   fuses each straight-line run of instructions into a single superblock
-   closure with bulk counter updates and a precompiled static timing plan;
-   blocks whose instructions would carry compiled-in hooks (armed fault
-   sites, census, undo log, tracing, profiling) deoptimize to the
-   per-instruction closures.  [Reference] is the original [step]
-   interpreter, kept as the executable spec: all tiers are required to
-   produce bit-identical results (cycles, counters, output, traps), which
-   the engine-equivalence tests assert. *)
-type engine_kind = Reference | Closure | Block
+(* Two execution engines.  [Compiled] translates each instruction, on its
+   first execution, into a closure specialized on its operands and on the
+   hooks of *this* config, and fuses straight-line runs of hook-free
+   instructions into superblock closures with bulk counter updates and a
+   precompiled static timing plan.  [Reference] is the original [step]
+   interpreter, kept as the executable spec: both engines must produce
+   bit-identical results (cycles, counters, output, traps), which the
+   engine-equivalence tests assert. *)
+type engine_kind = Reference | Compiled
+
+let engines = [ Reference; Compiled ]
 
 let engine_to_string = function
   | Reference -> "reference"
-  | Closure -> "closure"
-  | Block -> "block"
+  | Compiled -> "compiled"
 
 (* Raised out of [resume] when the abort hook reports cancellation at a
    quantum boundary.  Deliberately NOT a [trap_reason]: an aborted run is
@@ -167,7 +163,7 @@ type config = {
           capped at ~1 MB — the Intel SDE debugtrace analogue of §IV-B *)
   engine : engine_kind;
   profile : Profile.t option;
-      (** per-instruction-class cycle attribution (closure engine only);
+      (** per-instruction-class cycle attribution (compiled engine only);
           [None] compiles no hook into the closures at all *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the same
@@ -193,17 +189,17 @@ let default_config =
     stack_size = 1 lsl 17;
     reexec_retries = 0;
     trace = None;
-    engine = Closure;
+    engine = Compiled;
     profile = None;
     abort = None;
     chaos = None;
   }
 
-(* One fused superblock of the block engine: [fb_len] dynamic instructions
-   (a hook-free straight-line prefix, plus the trailing block ender when
-   the run ends in a control transfer) executed by one closure.  [fb_exec]
-   follows the same return protocol as the per-instruction closures. *)
-type fblock = { fb_len : int; fb_exec : thread -> frame -> int }
+(* One fused superblock: [fb_len] dynamic instructions (a hook-free
+   straight-line prefix, plus the trailing ender when the run ends in a
+   control transfer) executed by one closure with the per-instruction
+   closures' return protocol, compiled on first entry. *)
+type fblock = { fb_len : int; mutable fb_exec : thread -> frame -> int }
 
 type t = {
   code : Code.t;
@@ -214,13 +210,11 @@ type t = {
           O(1) lookup on the hot join path.  Only the first [nthreads]
           entries are meaningful. *)
   mutable kcode : (thread -> frame -> int) array array;
-      (** closure-compiled code, indexed by [cf_id] then [pc]; built
-          lazily on the first [resume] under the [Closure] and [Block]
-          engines *)
+      (** compiled code, indexed by [cf_id] then [pc]; each entry a stub
+          until that instruction first runs *)
   mutable kblocks : fblock option array array;
       (** fused superblocks, indexed by [cf_id] then starting [pc];
-          [Some] only at fusable block starts.  Built lazily on the first
-          [resume] under the [Block] engine *)
+          [Some] only at fusable block starts *)
   mutable snap_base : Bytes.t;
       (** memory image at the first snapshot of this run; empty until
           [snapshot] is first called *)
@@ -1124,7 +1118,7 @@ let step (m : t) (th : thread) : bool =
   if !next_pc >= 0 then fr.pc <- !next_pc;
   !continue_ && th.status = Running
 
-(* ---- closure-compiled (threaded-code) engine ---- *)
+(* ---- compiled engine: per-instruction closures ---- *)
 
 (* Return protocol of a compiled instruction closure:
    -  [r >= 0]: next pc in the same frame; the driver keeps the pc in a
@@ -1177,7 +1171,7 @@ let k_fix_addr (m : t) (cls : string) (a : int64) : int64 =
 (* ---- operand accessors specialized at compile time ----
    [lane_fn] keeps [get_lane]'s general wrap; [get_fn ~n] additionally
    drops the [mod lanes] when the operand covers all n lanes of the
-   consumer.  Shared by the closure and block tiers. *)
+   consumer.  Shared by per-instruction and fused compilation. *)
 
 let lane_fn (o : Code.rop) : int64 array -> int -> int64 =
   match o with
@@ -1231,14 +1225,15 @@ let ready_fn (srcs : int array) : frame -> int =
    lane counts and the given hook flags: operand offsets and the
    [mod lanes] stride are resolved once, and the fault-injection /
    undo-log hooks are compiled in or dropped entirely instead of being
-   re-examined on every dynamic instruction.  Both compiled tiers build
-   on this: the closure tier passes its config-derived flags and a
-   [Timing.exec] epilogue via [finish_plain]; the block tier's fused
-   prefixes pass all-false flags (fusion eligibility guarantees the
-   hooks could not fire) and a precompiled [Timing.exec_plan] epilogue.
-   Semantics — including timing, counter and fault-stream order — mirror
-   [step] exactly; the equivalence tests hold all engines to
-   bit-identical results. *)
+   re-examined on every dynamic instruction.  Both compiled forms build
+   on this: per-instruction closures pass their config-derived flags and
+   a [Timing.exec] epilogue via [finish_plain]; fused block prefixes pass
+   all-false flags (fusion eligibility guarantees the hooks could not
+   fire) and a precompiled [Timing.exec_plan] epilogue.  Semantics —
+   including timing, counter and fault-stream order — mirror [step]
+   exactly; the equivalence tests hold both engines to bit-identical
+   results.  Compilation reads only [m.cfg] and the code, never run
+   state, which is what lets [kcompile] defer it to first execution. *)
 let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
     ~(addr_faults : bool) ~(mem_faults : bool) ~(cf_faults : bool)
     ~(reexec_on : bool)
@@ -1733,7 +1728,8 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
           if taken then t else e
     | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
 
-(* Compiles one instruction into its closure-tier form: [compile_body]
+(* Compiles one instruction into its per-instruction closure (the
+   deoptimization path of fused blocks): [compile_body]
    with this config's hook flags and a [Timing.exec] epilogue, wrapped in
    the per-instruction bookkeeping (trace, instruction ceiling, counters,
    fault-site streams, optional profiling). *)
@@ -1872,16 +1868,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
         Profile.add prof cls ~cycles:(Timing.cycle th.timing - c0);
         r
 
-(* Builds the closure table for every function: [kcode.(cf_id).(pc)] runs
-   that instruction. *)
-let kcompile (m : t) =
-  m.kcode <-
-    Array.map
-      (fun (cf : Code.cfunc) ->
-        Array.mapi (fun pc it -> compile_item m cf pc it) cf.Code.code)
-      m.code.Code.cfuncs
-
-(* ---- block-fused engine ---- *)
+(* ---- compiled engine: superblock fusion ---- *)
 
 (* Superblock boundaries: control transfers, calls (including builtins)
    and returns end a block. *)
@@ -1919,8 +1906,8 @@ let leaders (cf : Code.cfunc) : bool array =
     code;
   l
 
-(* Deoptimization rules: a prefix instruction is fusable only if the
-   closure tier would compile NO hook into it under this config, so the
+(* Deoptimization rules: a prefix instruction is fusable only if
+   [compile_item] would compile NO hook into it under this config, so the
    fused (hook-free) body is bit-identical by construction.  Armed
    mem/addr faults are applied and cleared by the very instruction whose
    site hook armed them, so instructions that are not sites of the
@@ -1983,7 +1970,7 @@ let compile_fused_step (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
    ([fl_branch] ops are all enders), so no branch counter is needed. *)
 let compile_block (m : t) (cf : Code.cfunc)
     (kc : (thread -> frame -> int) array) (s : int) (plen : int)
-    (ender : int option) : fblock =
+    (ender : int option) : thread -> frame -> int =
   let code = cf.Code.code in
   (* suffix sums of the prefix's counter deltas, for trap retraction:
      [suf_X.(i)] covers prefix steps [i .. plen-1] *)
@@ -2009,7 +1996,10 @@ let compile_block (m : t) (cf : Code.cfunc)
   let progress = ref plen in
   let tail : thread -> frame -> int =
     match ender with
-    | Some e -> kc.(e)
+    | Some e ->
+        (* looked up per call: capturing [kc.(e)] while it is still a stub
+           would recompile the ender on every execution *)
+        fun th fr -> kc.(e) th fr
     | None ->
         (* falls through into the next block *)
         let nxt = s + plen in
@@ -2029,7 +2019,7 @@ let compile_block (m : t) (cf : Code.cfunc)
         progress := plen;
         tail th fr)
   in
-  let fb_exec th fr =
+  fun th fr ->
     m.total_instrs <- m.total_instrs + plen;
     let ctr = th.ctr in
     ctr.Counters.instrs <- ctr.Counters.instrs + plen;
@@ -2049,18 +2039,45 @@ let compile_block (m : t) (cf : Code.cfunc)
         ctr.Counters.stores <- ctr.Counters.stores - suf_stores.(p + 1)
       end;
       raise ex
-  in
-  { fb_len = (match ender with Some _ -> plen + 1 | None -> plen); fb_exec }
 
-(* Builds the fused-block table: [kblocks.(cf_id).(pc)] is [Some b] iff a
-   fused superblock starts at [pc] under this machine's config.  Tracing
-   and profiling need per-instruction hooks everywhere, so they disable
-   fusion wholesale; otherwise each maximal straight-line run whose
-   instructions all satisfy [fusable] is fused.  Requires [kcode] (enders
-   reuse the per-instruction closures). *)
-let kcompile_blocks (m : t) =
+(* Builds the compiled engine's tables, compiling nothing yet: each
+   [kcode.(cf_id).(pc)] starts as a stub that compiles its instruction on
+   the first call, patches the table and runs the result.  Which blocks
+   fuse is decided here, eagerly: [kblocks.(cf_id).(pc)] is [Some b] iff a
+   maximal straight-line run starting at [pc] is all [fusable] (tracing
+   and profiling need per-instruction hooks, so they fuse nothing), and
+   [b.fb_exec] compiles the block on first entry and replaces itself.
+   Deferring is sound because compilation reads only [cfg] and the code,
+   never run state. *)
+let kcompile (m : t) =
   let cfg = m.cfg in
   let fuse = cfg.trace = None && cfg.profile = None in
+  let stub _ _ = assert false in
+  m.kcode <-
+    Array.map
+      (fun (cf : Code.cfunc) ->
+        let kc = Array.make (Array.length cf.Code.code) stub in
+        Array.iteri
+          (fun pc it ->
+            kc.(pc) <-
+              (fun th fr ->
+                let k = compile_item m cf pc it in
+                kc.(pc) <- k;
+                k th fr))
+          cf.Code.code;
+        kc)
+      m.code.Code.cfuncs;
+  let lazy_block cf kc s plen ender =
+    let fb =
+      { fb_len = (match ender with Some _ -> plen + 1 | None -> plen); fb_exec = stub }
+    in
+    fb.fb_exec <-
+      (fun th fr ->
+        let k = compile_block m cf kc s plen ender in
+        fb.fb_exec <- k;
+        k th fr);
+    Some fb
+  in
   m.kblocks <-
     Array.map
       (fun (cf : Code.cfunc) ->
@@ -2083,8 +2100,7 @@ let kcompile_blocks (m : t) =
                 if not (fusable cfg ~hardened code.(j)) then ok := false
               done;
               if !ok && !e < n then
-                if l.(!e) then tbl.(s) <- Some (compile_block m cf kc s plen None)
-                else tbl.(s) <- Some (compile_block m cf kc s plen (Some !e))
+                tbl.(s) <- lazy_block cf kc s plen (if l.(!e) then None else Some !e)
             end
           done
         end;
@@ -2116,40 +2132,19 @@ let ref_quantum (m : t) (th : thread) =
         continue_ := step m th
       done
 
-(* One scheduling quantum under the closure engine.  The program counter
+(* One scheduling quantum under the compiled engine.  The program counter
    lives in a local between closures; [fr.pc] is written back only when
    the quantum budget expires mid-frame (frame switches maintain it
-   inline, per the closure return protocol). *)
-let closure_quantum (m : t) (th : thread) =
-  let budget = ref quantum in
-  let running = ref true in
-  while !running && !budget > 0 do
-    let fr = List.hd th.frames in
-    let code = m.kcode.(fr.cf.Code.cf_id) in
-    let pc = ref fr.pc in
-    let switched = ref false in
-    while (not !switched) && !budget > 0 do
-      let r = code.(!pc) th fr in
-      decr budget;
-      if r >= 0 then pc := r
-      else begin
-        switched := true;
-        if r = k_yield then running := false
-      end
-    done;
-    if not !switched then fr.pc <- !pc
-  done
-
-(* One scheduling quantum under the block engine.  At a fused block start
-   the whole superblock runs as one closure and the budget is debited
-   once by its dynamic length; everywhere else (deoptimized blocks,
-   mid-block pcs after a budget expiry or snapshot restore, blocks longer
-   than the remaining budget, the [max_instrs] ceiling) execution falls
-   back to the per-instruction closures.  Quanta therefore end after
-   exactly the same instruction counts as the other engines, preserving
+   inline, per the closure return protocol).  At a fused block start the
+   whole superblock runs as one closure and the budget is debited once by
+   its dynamic length; everywhere else (deoptimized blocks, mid-block pcs
+   after a budget expiry or snapshot restore, blocks longer than the
+   remaining budget, the [max_instrs] ceiling) execution falls back to the
+   per-instruction closures.  Quanta therefore end after exactly the same
+   instruction counts as the reference engine, preserving
    snapshot/abort/chaos boundary semantics, and the ceiling check
    guarantees [Hang] can never fire inside a fused block. *)
-let block_quantum (m : t) (th : thread) =
+let compiled_quantum (m : t) (th : thread) =
   let max_instrs = m.cfg.max_instrs in
   let budget = ref quantum in
   let running = ref true in
@@ -2235,17 +2230,12 @@ let make_result (m : t) (trap : trap_reason option) : result =
    quantum — the hook the fault campaign uses to capture snapshots at
    deterministic (quantum-boundary) points. *)
 let resume ?on_quantum (m : t) : result =
-  (match m.cfg.engine with
-  | Reference -> ()
-  | Closure -> if Array.length m.kcode = 0 then kcompile m
-  | Block ->
-      if Array.length m.kcode = 0 then kcompile m;
-      if Array.length m.kblocks = 0 then kcompile_blocks m);
   let run_quantum =
     match m.cfg.engine with
     | Reference -> ref_quantum
-    | Closure -> closure_quantum
-    | Block -> block_quantum
+    | Compiled ->
+        if Array.length m.kcode = 0 then kcompile m;
+        compiled_quantum
   in
   (* chaos fires once, at the first quantum boundary of this drive; the
      abort hook is polled at every one.  Both raise out of [loop] — past

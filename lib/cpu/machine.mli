@@ -109,19 +109,17 @@ type inject = {
 val second_flip :
   dlanes:int -> lane:int -> bit:int -> lane2:int -> bit2:int -> int * int
 
-(** Execution engine selection.  [Closure] (the default) is the
-    threaded-code tier: each instruction is translated once, at machine
-    build, into a closure specialized on its operands and on the config's
-    fault/trace/recovery hooks.  [Block] builds on it, additionally fusing
-    each straight-line instruction run into a single superblock closure
-    with bulk counter updates and a precompiled static timing plan; blocks
-    whose instructions would carry compiled-in hooks (armed fault sites,
-    site census, undo log, tracing, profiling) deoptimize to the
-    per-instruction closures, and quanta still end at exactly the same
-    instruction counts.  [Reference] is the original interpreter, kept as
-    the executable specification; all engines are required to produce
-    bit-identical results. *)
-type engine_kind = Reference | Closure | Block
+(** Execution engine selection.  [Compiled] (the default) translates each
+    instruction, on first execution, into a closure specialized on its
+    operands and the config's hooks, and fuses straight-line runs into
+    superblock closures with a precompiled static timing plan; blocks
+    carrying compiled-in hooks (armed fault sites, site census, undo log,
+    tracing, profiling) deoptimize to the per-instruction closures.
+    [Reference] is the original interpreter, kept as the executable
+    specification; both engines produce bit-identical results. *)
+type engine_kind = Reference | Compiled
+
+val engines : engine_kind list
 
 (** Lower-case name, as accepted by the CLI [--engine] flag. *)
 val engine_to_string : engine_kind -> string
@@ -151,8 +149,8 @@ type config = {
           same class strings the AVF table uses.  [Some tbl] compiles a
           cycle-delta hook into every closure; [None] (the default)
           compiles nothing — the closures are identical to an unprofiled
-          build, so the off state costs zero.  Only the compiled engines
-          attribute ([Block] disables fusion wholesale so every
+          build, so the off state costs zero.  Only the compiled engine
+          attributes (profiling disables fusion wholesale so every
           instruction keeps its hook); [Reference] ignores the table. *)
   abort : (unit -> bool) option;
       (** cancellation hook, polled once per scheduling quantum (the
@@ -171,7 +169,7 @@ type config = {
 
 val default_config : config
 
-(** One fused superblock of the [Block] engine (opaque): a hook-free
+(** One fused superblock of the [Compiled] engine (opaque): a hook-free
     straight-line prefix plus optional trailing ender, run as one
     closure. *)
 type fblock
@@ -182,9 +180,9 @@ type t = {
   mutable threads : thread list;
   mutable by_tid : thread array;  (** tid-indexed view of [threads] *)
   mutable kcode : (thread -> frame -> int) array array;
-      (** closure-compiled code, by [cf_id] then pc; built on first resume *)
+      (** compiled code, by [cf_id] then pc; compiled on first call *)
   mutable kblocks : fblock option array array;
-      (** fused superblocks, by [cf_id] then starting pc ([Block] engine) *)
+      (** fused superblocks, by [cf_id] then start pc; compiled on first entry *)
   mutable snap_base : Bytes.t;  (** base memory image of the snapshot chain *)
   mutable nthreads : int;
   output : Buffer.t;

@@ -115,11 +115,11 @@ let exec (t : t) ~(ready : int) ~(mem_lat : int) (uops : Cost.uop array) : int =
 (* [exec] re-derives, for every dynamic instance of an instruction,    *)
 (* facts that are fixed at compile time: the μop count, the decoded    *)
 (* port set of each μop, whether it chains on the previous μop, and    *)
-(* whether it touches memory.  The block engine compiles each          *)
-(* instruction's μop sequence once into a [plan]; [exec_plan] then     *)
-(* only evaluates the dynamic residue (port contention, the dispatch   *)
-(* window, L1 hit/miss latency, the miss pipe) and is bit-identical    *)
-(* to [exec] on the same sequence of calls.                            *)
+(* whether it touches memory.  The compiled engine's fused blocks      *)
+(* compile each instruction's μop sequence once into a [plan];         *)
+(* [exec_plan] then only evaluates the dynamic residue (port           *)
+(* contention, the dispatch window, L1 hit/miss latency, the miss      *)
+(* pipe) and is bit-identical to [exec] on the same sequence of calls. *)
 (* ------------------------------------------------------------------ *)
 
 type uplan = {

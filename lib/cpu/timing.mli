@@ -44,7 +44,7 @@ type uplan = {
 }
 
 (** Static cost plan of one instruction's μop sequence, compiled once by
-    the block engine. *)
+    the compiled engine's fused blocks. *)
 type plan =
   | Pempty
   | Palu1 of uplan  (** exactly one μop, no memory side *)

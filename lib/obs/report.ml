@@ -9,8 +9,12 @@ module J = Obs.Json
    v3: every campaign is supervised, so "elzar.bench.campaign" rows
    dropped "supervised_seconds"/"supervision_overhead" and the CLI
    campaign params dropped "supervised"; the "timeout" tool-error kind is
-   gone. *)
-let version = 3
+   gone.
+   v4: two engines; "elzar.bench.interp" renamed "closure_speedup" to
+   "compiled_speedup" and its "gmean_speedup" pairs to the one
+   "compiled_over_reference", and the "engine" values "closure"/"block"
+   became "compiled". *)
+let version = 4
 
 let versioned ~(schema : string) (fields : (string * J.t) list) : J.t =
   J.Obj (("schema", J.Str schema) :: ("version", J.Int version) :: fields)

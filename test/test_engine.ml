@@ -1,12 +1,14 @@
-(* Engine equivalence: the closure-compiled and block-fused engines must
-   be bit-identical to the reference interpreter — same wall cycles,
-   per-thread counters, output bytes, traps and fault-site streams —
-   across every workload and build flavour, with and without an armed
-   injection.  Also checks that restoring a mid-run snapshot and resuming
-   reproduces the straight run exactly (the soundness condition behind
-   campaign fast-forward), that the block tier deoptimizes armed fault
-   sites to per-instruction execution, and that its supervision hooks
-   keep quantum-boundary discipline. *)
+(* Engine equivalence: the compiled engine must be bit-identical to the
+   reference interpreter — same wall cycles, per-thread counters, output
+   bytes, traps and fault-site streams — across every workload and build
+   flavour, with and without an armed injection.  Also checks that
+   restoring a mid-run snapshot and resuming reproduces the reference run
+   exactly (the soundness condition behind campaign fast-forward, and
+   behind lazy compilation: a restored machine first compiles each
+   instruction at a different run state), that fused blocks deoptimize
+   armed fault sites to per-instruction execution, that supervision
+   hooks keep quantum-boundary discipline, and that lazy compilation
+   patches each code slot once. *)
 
 let builds =
   [
@@ -35,18 +37,21 @@ let check_result name (a : Cpu.Machine.result) (b : Cpu.Machine.result) =
   (* catch-all structural equality: counters lists, detect latency, ... *)
   if a <> b then Alcotest.failf "%s: results differ structurally" name
 
-(* every workload, every build flavour: reference == closure == block *)
+(* every workload, every build flavour: reference == compiled, fused and
+   (profiling disables fusion) per-instruction *)
 let check_engines (w : Workloads.Workload.t) () =
   List.iter
     (fun b ->
-      let run engine =
-        Workloads.Workload.execute ~machine_cfg:(cfg_with engine) w ~build:b ~nthreads:2
-          ~size:Workloads.Workload.Tiny
+      let run ?profile engine =
+        Workloads.Workload.execute
+          ~machine_cfg:{ (cfg_with engine) with Cpu.Machine.profile }
+          w ~build:b ~nthreads:2 ~size:Workloads.Workload.Tiny
       in
       let name = w.Workloads.Workload.name ^ "/" ^ Elzar.build_name b in
       let reference = run Cpu.Machine.Reference in
-      check_result name reference (run Cpu.Machine.Closure);
-      check_result (name ^ "/block") reference (run Cpu.Machine.Block))
+      check_result name reference (run Cpu.Machine.Compiled);
+      check_result (name ^ "/unfused") reference
+        (run ~profile:(Cpu.Profile.create ()) Cpu.Machine.Compiled))
     builds
 
 (* armed injections: the per-kind site streams and fault hooks must fire
@@ -70,9 +75,7 @@ let check_inject_engines () =
           (Cpu.Machine.fault_kind_to_string kind)
           at reexec_retries
       in
-      let reference = run Cpu.Machine.Reference in
-      check_result name reference (run Cpu.Machine.Closure);
-      check_result (name ^ "/block") reference (run Cpu.Machine.Block))
+      check_result name (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled))
     [
       (Cpu.Machine.Reg_flip, 5_000, 0);
       (Cpu.Machine.Reg_flip, 50_000, 0);
@@ -92,12 +95,11 @@ let check_count_sites () =
         { Cpu.Machine.default_config with Cpu.Machine.engine; count_inject_sites = true }
       w ~build:harden ~nthreads:2 ~size:Workloads.Workload.Tiny
   in
-  let reference = run Cpu.Machine.Reference in
-  check_result "count-sites" reference (run Cpu.Machine.Closure);
-  check_result "count-sites/block" reference (run Cpu.Machine.Block)
+  check_result "count-sites" (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled)
 
-(* snapshot/restore: resuming from any mid-run snapshot must reproduce the
-   straight run bit-for-bit, under either engine *)
+(* snapshot/restore: the snapshot-taking run and a resume from any mid-run
+   snapshot must reproduce the reference straight run bit-for-bit, under
+   either engine *)
 let check_snapshot_resume engine () =
   let w = Workloads.Registry.find "linreg" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
@@ -109,19 +111,25 @@ let check_snapshot_resume engine () =
       reexec_retries = spec.Fault.reexec_retries;
     }
   in
-  let make_machine () =
+  let make_machine cfg =
     let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
     spec.Fault.init m;
     m
   in
+  let golden =
+    Cpu.Machine.run ~args:spec.Fault.args
+      (make_machine { cfg with Cpu.Machine.engine = Cpu.Machine.Reference })
+      spec.Fault.entry
+  in
   let snaps = ref [] in
   let q = ref 0 in
-  let m = make_machine () in
-  let golden =
-    Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry ~on_quantum:(fun mm ->
+  let straight =
+    Cpu.Machine.run ~args:spec.Fault.args (make_machine cfg) spec.Fault.entry
+      ~on_quantum:(fun mm ->
         incr q;
         if !q mod 40 = 0 then snaps := Cpu.Machine.snapshot mm :: !snaps)
   in
+  check_result "straight run" golden straight;
   if !snaps = [] then Alcotest.fail "no snapshots captured";
   (* newest, oldest and a middle snapshot *)
   let all = Array.of_list !snaps in
@@ -135,65 +143,36 @@ let check_snapshot_resume engine () =
         golden r)
     (List.sort_uniq compare picks)
 
-(* campaign fast-forward: the full report (per-outcome stats and every
-   observation, including wall cycles and detection latencies) must be
-   bit-identical with fast-forward on or off, and for any worker count *)
-let check_campaign_fast_forward () =
+(* campaigns pinned to the executable spec: a reference-engine campaign
+   without fast-forward is the baseline, and the compiled engine with
+   fast-forward must reproduce its full report (per-outcome stats and
+   every observation, including wall cycles and detection latencies) for
+   any worker count, and across fault models, whose sites draw on the
+   mem/branch streams *)
+let check_campaign () =
   let w = Workloads.Registry.find "linreg" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
   let spec = Workloads.Workload.fi_spec w ~build:harden () in
-  let base = Campaign.single ~seed:19 ~n:24 ~jobs:1 ~fast_forward:false spec in
+  let rspec = { spec with Fault.engine = Cpu.Machine.Reference } in
+  let cspec = { spec with Fault.engine = Cpu.Machine.Compiled } in
+  let same name (a : Campaign.report) (b : Campaign.report) =
+    Alcotest.(check bool) (name ^ ": same stats") true (a.Campaign.stats = b.Campaign.stats);
+    Alcotest.(check bool)
+      (name ^ ": same outcomes")
+      true
+      (a.Campaign.outcomes = b.Campaign.outcomes)
+  in
+  let base = Campaign.single ~seed:19 ~n:24 ~jobs:1 ~fast_forward:false rspec in
   List.iter
     (fun jobs ->
-      let ff = Campaign.single ~seed:19 ~n:24 ~jobs ~fast_forward:true spec in
-      Alcotest.(check bool)
-        (Printf.sprintf "ff jobs=%d: same stats" jobs)
-        true
-        (ff.Campaign.stats = base.Campaign.stats);
-      Alcotest.(check bool)
-        (Printf.sprintf "ff jobs=%d: same outcomes" jobs)
-        true
-        (ff.Campaign.outcomes = base.Campaign.outcomes))
-    [ 1; 2; 4 ];
-  (* and across fault models, whose sites draw on the mem/branch streams *)
-  List.iter
-    (fun model ->
-      let off = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:1 ~fast_forward:false ~model spec in
-      let on = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:2 ~fast_forward:true ~model spec in
-      Alcotest.(check bool)
-        (Fault.model_to_string model ^ ": ff report identical")
-        true
-        (off.Campaign.stats = on.Campaign.stats && off.Campaign.outcomes = on.Campaign.outcomes))
-    [ Fault.Mem; Fault.Addr; Fault.Cf; Fault.Mixed ]
-
-(* campaigns under the block engine: the full report must be bit-identical
-   to a closure-engine campaign, for any worker count and fault model *)
-let check_block_campaign () =
-  let w = Workloads.Registry.find "linreg" in
-  let harden = Elzar.Hardened Elzar.Harden_config.default in
-  let spec = Workloads.Workload.fi_spec w ~build:harden () in
-  let bspec = { spec with Fault.engine = Cpu.Machine.Block } in
-  let base = Campaign.single ~seed:19 ~n:24 ~jobs:1 ~fast_forward:false spec in
-  List.iter
-    (fun jobs ->
-      let blk = Campaign.single ~seed:19 ~n:24 ~jobs ~fast_forward:true bspec in
-      Alcotest.(check bool)
-        (Printf.sprintf "block jobs=%d: same stats" jobs)
-        true
-        (blk.Campaign.stats = base.Campaign.stats);
-      Alcotest.(check bool)
-        (Printf.sprintf "block jobs=%d: same outcomes" jobs)
-        true
-        (blk.Campaign.outcomes = base.Campaign.outcomes))
+      same (Printf.sprintf "jobs=%d" jobs) base
+        (Campaign.single ~seed:19 ~n:24 ~jobs ~fast_forward:true cspec))
     [ 1; 2; 4 ];
   List.iter
     (fun model ->
-      let cl = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:1 ~fast_forward:false ~model spec in
-      let bl = Campaign.model_campaign ~seed:23 ~n:8 ~jobs:2 ~fast_forward:true ~model bspec in
-      Alcotest.(check bool)
-        (Fault.model_to_string model ^ ": block report identical")
-        true
-        (cl.Campaign.stats = bl.Campaign.stats && cl.Campaign.outcomes = bl.Campaign.outcomes))
+      same (Fault.model_to_string model)
+        (Campaign.model_campaign ~seed:23 ~n:8 ~jobs:1 ~fast_forward:false ~model rspec)
+        (Campaign.model_campaign ~seed:23 ~n:8 ~jobs:2 ~fast_forward:true ~model cspec))
     [ Fault.Mem; Fault.Addr; Fault.Cf; Fault.Mixed ]
 
 let count_fused (m : Cpu.Machine.t) =
@@ -218,9 +197,7 @@ let check_block_deopt () =
     let r = Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry in
     (m, r)
   in
-  let plain_cfg =
-    { Cpu.Machine.default_config with Cpu.Machine.engine = Cpu.Machine.Block }
-  in
+  let plain_cfg = cfg_with Cpu.Machine.Compiled in
   let m_plain, _ = run_with plain_cfg in
   let fused_plain = count_fused m_plain in
   Alcotest.(check bool) "plain build fuses blocks" true (fused_plain > 0);
@@ -246,7 +223,7 @@ let check_block_deopt () =
       (Cpu.Machine.Branch_flip, 1_000);
     ]
 
-(* supervision boundary discipline under the block engine: the abort hook
+(* supervision boundary discipline under the compiled engine: the abort hook
    is polled exactly once per scheduling quantum (not once per fused
    block), the chaos hook fires exactly once per run, and a cooperative
    abort still cuts the run short *)
@@ -263,7 +240,7 @@ let check_block_supervision () =
   let cfg =
     {
       Cpu.Machine.default_config with
-      Cpu.Machine.engine = Cpu.Machine.Block;
+      Cpu.Machine.engine = Cpu.Machine.Compiled;
       abort =
         Some
           (fun () ->
@@ -292,9 +269,76 @@ let check_block_supervision () =
     }
   in
   match run_cfg abort_cfg ~on_quantum:(fun _ -> ()) with
-  | (_ : Cpu.Machine.result) -> Alcotest.fail "abort hook did not raise under block engine"
+  | (_ : Cpu.Machine.result) -> Alcotest.fail "abort hook did not raise under compiled engine"
   | exception Cpu.Machine.Abort ->
       Alcotest.(check int) "aborted at the sixth boundary" 6 !polls2
+
+(* lazy compilation: each [kcode] slot is patched at most once — its stub
+   compiles the instruction on first call and is never entered again (a
+   fused block that captured its ender's stub would re-patch that slot on
+   every execution) — and compilation really is deferred: some slots are
+   first patched after the first quantum boundary *)
+let check_lazy_compile () =
+  let w = Workloads.Registry.find "linreg" in
+  List.iter
+    (fun b ->
+      let name = Elzar.build_name b in
+      let spec = Workloads.Workload.fi_spec w ~build:b () in
+      let m =
+        Cpu.Machine.create ~cfg:(cfg_with Cpu.Machine.Compiled)
+          ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul
+      in
+      spec.Fault.init m;
+      let prev = ref None in
+      let patches = ref [||] in
+      let late = ref 0 in
+      let observe (mm : Cpu.Machine.t) =
+        let cur = Array.map Array.copy mm.Cpu.Machine.kcode in
+        (match !prev with
+        | None -> patches := Array.map (fun tbl -> Array.make (Array.length tbl) 0) cur
+        | Some p ->
+            Array.iteri
+              (fun cf tbl ->
+                Array.iteri
+                  (fun pc k ->
+                    if k != p.(cf).(pc) then begin
+                      !patches.(cf).(pc) <- !patches.(cf).(pc) + 1;
+                      incr late
+                    end)
+                  tbl)
+              cur);
+        prev := Some cur
+      in
+      let (_ : Cpu.Machine.result) =
+        Cpu.Machine.run ~args:spec.Fault.args ~on_quantum:observe m spec.Fault.entry
+      in
+      observe m;
+      Array.iteri
+        (fun cf tbl ->
+          Array.iteri
+            (fun pc n ->
+              if n > 1 then
+                Alcotest.failf "%s: kcode.(%d).(%d) patched %d times after the first boundary"
+                  name cf pc n)
+            tbl)
+        !patches;
+      Alcotest.(check bool) (name ^ ": slots compiled after the first boundary") true (!late > 0))
+    [ Elzar.Native; Elzar.Hardened Elzar.Harden_config.default ]
+
+(* one source of engine names and of the default engine: the CLI and the
+   bench name engines through [engines]/[engine_to_string], and fault
+   specs default to the machine's default engine *)
+let check_engine_names () =
+  Alcotest.(check (list string))
+    "engine names" [ "reference"; "compiled" ]
+    (List.map Cpu.Machine.engine_to_string Cpu.Machine.engines);
+  let default = Cpu.Machine.default_config.Cpu.Machine.engine in
+  Alcotest.(check string) "default engine" "compiled" (Cpu.Machine.engine_to_string default);
+  let w = Workloads.Registry.find "linreg" in
+  let spec = Workloads.Workload.fi_spec w ~build:Elzar.Native () in
+  Alcotest.(check bool) "fi_spec uses the default engine" true (spec.Fault.engine = default);
+  let bare = Fault.make_spec spec.Fault.modul spec.Fault.entry in
+  Alcotest.(check bool) "make_spec uses the default engine" true (bare.Fault.engine = default)
 
 let workload_cases =
   List.map
@@ -307,17 +351,14 @@ let tests =
   @ [
       Alcotest.test_case "equiv under injection" `Quick check_inject_engines;
       Alcotest.test_case "equiv site census" `Quick check_count_sites;
-      Alcotest.test_case "snapshot resume (closure)" `Quick
-        (check_snapshot_resume Cpu.Machine.Closure);
       Alcotest.test_case "snapshot resume (reference)" `Quick
         (check_snapshot_resume Cpu.Machine.Reference);
-      Alcotest.test_case "snapshot resume (block)" `Quick
-        (check_snapshot_resume Cpu.Machine.Block);
-      Alcotest.test_case "campaign fast-forward bit-identical" `Quick
-        check_campaign_fast_forward;
-      Alcotest.test_case "campaign under block engine bit-identical" `Quick
-        check_block_campaign;
+      Alcotest.test_case "snapshot resume (compiled)" `Quick
+        (check_snapshot_resume Cpu.Machine.Compiled);
+      Alcotest.test_case "campaign compiled+ff matches reference" `Quick check_campaign;
       Alcotest.test_case "block deopt at armed fault sites" `Quick check_block_deopt;
       Alcotest.test_case "block supervision quantum discipline" `Quick
         check_block_supervision;
+      Alcotest.test_case "lazy compile patches each slot once" `Quick check_lazy_compile;
+      Alcotest.test_case "engine names and default" `Quick check_engine_names;
     ]
