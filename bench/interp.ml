@@ -87,9 +87,8 @@ let check_identity (a : sample) (b : sample) =
 (* The versioned document (schema "elzar.bench.interp") goes through the
    same report pipeline as campaigns and CLI runs.  [compiled_speedup] is
    compiled over reference per flavour/mode; [gmean_speedup] summarizes
-   the pair over the plain-mode cells (the census cells deliberately
-   deoptimize most blocks on hardened flavours, so they measure the
-   fallback, not fusion). *)
+   the pair over the plain-mode cells (census cells fuse too, with their
+   site counts bulk-added per block, but are summarized separately). *)
 let emit_json path (samples : sample list) (speedups : (string * float) list)
     (plain_gmean : float) =
   let sample_json s =

@@ -97,7 +97,7 @@ let run_cmd =
       let machine_cfg =
         { Cpu.Machine.default_config with Cpu.Machine.profile = prof; engine }
       in
-      let r = Workloads.Workload.execute ~machine_cfg w ~build ~nthreads ~size in
+      let r, paths = Workloads.Workload.execute_paths ~machine_cfg w ~build ~nthreads ~size in
       (match r.Cpu.Machine.trap with
       | Some t -> Printf.printf "trap: %s\n" (Cpu.Machine.string_of_trap t)
       | None -> ());
@@ -122,7 +122,7 @@ let run_cmd =
               ("engine", Obs.Json.Str (Cpu.Machine.engine_to_string engine));
             ]
           in
-          Report.write path (Report.run_result ~params ?profile:prof r);
+          Report.write path (Report.run_result ~params ?profile:prof ~paths r);
           Printf.printf "wrote %s\n" path
       | None -> ());
       `Ok ()

@@ -61,6 +61,7 @@ let fl_inject = 16
 type citem = {
   op : rinstr;
   uops : Cost.uop array;
+  plan : Timing.plan;  (** [uops] precompiled for [Timing.exec_plan] *)
   srcs : int array;  (** frame offsets read, for dependency tracking *)
   dst : int;  (** frame offset written, -1 if none *)
   dlanes : int;
@@ -236,10 +237,12 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
             lor (if Cost.is_avx i then fl_avx else 0)
             lor if f.Instr.hardened && dst >= 0 then fl_inject else 0
           in
+          let uops = Cost.of_instr i in
           emit
             {
               op;
-              uops = Cost.of_instr i;
+              uops;
+              plan = Timing.plan_of_uops uops;
               srcs = srcs_of (Instr.operands i);
               dst;
               dlanes;
@@ -260,10 +263,12 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
         | Instr.Br _ | Instr.Cond_br _ | Instr.Vbr _ | Instr.Vbr_unchecked _ -> fl_branch
         | Instr.Ret _ | Instr.Unreachable -> 0
       in
+      let uops = Cost.of_term ~flags_cmp b.term in
       emit
         {
           op = top;
-          uops = Cost.of_term ~flags_cmp b.term;
+          uops;
+          plan = Timing.plan_of_uops uops;
           srcs = srcs_of (Instr.term_operands b.term);
           dst = -1;
           dlanes = 0;

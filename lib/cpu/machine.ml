@@ -127,9 +127,11 @@ let second_flip ~(dlanes : int) ~(lane : int) ~(bit : int) ~(lane2 : int) ~(bit2
 
 (* Two execution engines.  [Compiled] translates each instruction, on its
    first execution, into a closure specialized on its operands and on the
-   hooks of *this* config, and fuses straight-line runs of hook-free
-   instructions into superblock closures with bulk counter updates and a
-   precompiled static timing plan.  [Reference] is the original [step]
+   hooks of *this* config, and fuses every straight-line run into a
+   superblock closure with bulk counter and fault-site updates and a
+   precompiled static timing plan, guarded at run time so the one block
+   instance holding the armed fault site runs on the per-instruction
+   closures instead.  [Reference] is the original [step]
    interpreter, kept as the executable spec: both engines must produce
    bit-identical results (cycles, counters, output, traps), which the
    engine-equivalence tests assert. *)
@@ -198,8 +200,16 @@ let default_config =
 (* One fused superblock: [fb_len] dynamic instructions (a hook-free
    straight-line prefix, plus the trailing ender when the run ends in a
    control transfer) executed by one closure with the per-instruction
-   closures' return protocol, compiled on first entry. *)
-type fblock = { fb_len : int; mutable fb_exec : thread -> frame -> int }
+   closures' return protocol, compiled on first entry.  [fb_sites] and
+   [fb_msites] count the register and memory fault sites of the prefix
+   that this config's site streams count — the window the run-time guard
+   checks against the armed site. *)
+type fblock = {
+  fb_len : int;
+  fb_sites : int;
+  fb_msites : int;
+  mutable fb_exec : thread -> frame -> int;
+}
 
 type t = {
   code : Code.t;
@@ -214,7 +224,7 @@ type t = {
           until that instruction first runs *)
   mutable kblocks : fblock option array array;
       (** fused superblocks, indexed by [cf_id] then starting [pc];
-          [Some] only at fusable block starts *)
+          [Some] only at straight-line block starts *)
   mutable snap_base : Bytes.t;
       (** memory image at the first snapshot of this run; empty until
           [snapshot] is first called *)
@@ -236,7 +246,31 @@ type t = {
   mutable inject_instr : int;  (** [total_instrs] at injection time; -1 *)
   mutable detect_instr : int;  (** [total_instrs] at first recovery/trap; -1 *)
   mutable inject_class : string;  (** instruction class at the injection site *)
+  reg_fire_at : int;  (** [inj_count] value that fires the armed fault; [max_int] if none *)
+  mem_fire_at : int;  (** [mem_count] value that fires the armed fault; [max_int] if none *)
+  mutable blk_left : int;
+      (** prefix steps after the current one in the running fused block,
+          whose [total_instrs] is already bulk-added; 0 outside blocks *)
+  mutable fused_instrs : int;  (** instructions run inside fused blocks *)
+  start_instrs : int;  (** [total_instrs] at create/restore: skipped by fast-forward *)
 }
+
+(* Per-run execution-path diagnostics, kept out of [result] (which tests
+   compare structurally across engines). *)
+type exec_stats = { fused : int; stepped : int; skipped : int }
+
+let exec_stats (m : t) : exec_stats =
+  let executed = m.total_instrs - m.start_instrs in
+  { fused = m.fused_instrs; stepped = executed - m.fused_instrs; skipped = m.start_instrs }
+
+(* Site-counter values at which [cfg]'s armed fault fires, as
+   (register stream, memory stream); [max_int] for a stream that cannot
+   fire.  Branch sites are block enders and need no fire point. *)
+let fire_points (cfg : config) : int * int =
+  match cfg.inject with
+  | Some { kind = Reg_flip; at; _ } -> (at, max_int)
+  | Some { kind = Mem_flip | Addr_flip; at; _ } -> (max_int, at)
+  | Some { kind = Branch_flip; _ } | None -> (max_int, max_int)
 
 type result = {
   wall_cycles : int;
@@ -261,6 +295,7 @@ type result = {
 let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t =
   let mem = Memory.create () in
   let code = Code.compile ~debug:(cfg.trace <> None) ~flags_cmp m mem in
+  let reg_fire_at, mem_fire_at = fire_points cfg in
   {
     code;
     mem;
@@ -287,6 +322,11 @@ let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t
     inject_instr = -1;
     detect_instr = -1;
     inject_class = "";
+    reg_fire_at;
+    mem_fire_at;
+    blk_left = 0;
+    fused_instrs = 0;
+    start_instrs = 0;
   }
 
 (* Address of a named global, for host-side input preparation (the moral
@@ -397,17 +437,24 @@ let find_thread (m : t) tid =
 
 (* ---- fault bookkeeping ---- *)
 
+(* Dynamic instructions retired so far, counting the current one: inside
+   a fused block [total_instrs] already holds the whole prefix, so the
+   steps still to run are subtracted. *)
+let retired (m : t) = m.total_instrs - m.blk_left
+
 let mark_injected (m : t) (cls : string) =
   if not m.injected then begin
     m.injected <- true;
-    m.inject_instr <- m.total_instrs;
+    m.inject_instr <- retired m;
     m.inject_class <- cls
   end
 
 (* First point where the machine *reacted* to the injected fault — a
-   recovery-routine activation, a retry, a rollback, or a trap. *)
+   recovery-routine activation, a retry, a rollback, or a trap.  Exact
+   inside fused blocks too, so a vote ([Rgather]/[Rscatter]) fuses even
+   while a fault is in flight. *)
 let note_detect (m : t) =
-  if m.injected && m.detect_instr < 0 then m.detect_instr <- m.total_instrs
+  if m.injected && m.detect_instr < 0 then m.detect_instr <- retired m
 
 let note_recovered (m : t) =
   m.recovered <- m.recovered + 1;
@@ -1228,8 +1275,9 @@ let ready_fn (srcs : int array) : frame -> int =
    re-examined on every dynamic instruction.  Both compiled forms build
    on this: per-instruction closures pass their config-derived flags and
    a [Timing.exec] epilogue via [finish_plain]; fused block prefixes pass
-   all-false flags (fusion eligibility guarantees the hooks could not
-   fire) and a precompiled [Timing.exec_plan] epilogue.  Semantics —
+   all-false fault flags (the run-time block guard guarantees no armed
+   fault can fire inside them) and a precompiled [Timing.exec_plan]
+   epilogue.  Semantics —
    including timing, counter and fault-stream order — mirror [step]
    exactly; the equivalence tests hold both engines to bit-identical
    results.  Compilation reads only [m.cfg] and the code, never run
@@ -1728,6 +1776,22 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
           if taken then t else e
     | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
 
+(* Whether [it] advances the register / memory fault-site stream under
+   [cfg] (the armed kind's stream, or every stream under site census):
+   the one definition behind [compile_item]'s [reg_hook]/[site_hook] and
+   a fused block's bulk site counts. *)
+let reg_site (cfg : config) (it : Code.citem) : bool =
+  it.Code.flags land Code.fl_inject <> 0
+  && match cfg.inject with Some inj -> inj.kind = Reg_flip | None -> cfg.count_inject_sites
+
+let mem_site (cfg : config) ~(hardened : bool) (it : Code.citem) : bool =
+  hardened
+  && it.Code.flags land (Code.fl_load lor Code.fl_store) <> 0
+  &&
+  match cfg.inject with
+  | Some inj -> inj.kind = Mem_flip || inj.kind = Addr_flip
+  | None -> cfg.count_inject_sites
+
 (* Compiles one instruction into its per-instruction closure (the
    deoptimization path of fused blocks): [compile_body]
    with this config's hook flags and a [Timing.exec] epilogue, wrapped in
@@ -1746,7 +1810,6 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   let is_store = fl land Code.fl_store <> 0 in
   let is_branch = fl land Code.fl_branch <> 0 in
   let hardened = cf.Code.cf_hardened in
-  let is_mem_site = hardened && (is_load || is_store) in
   let is_br_site =
     hardened
     && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
@@ -1767,39 +1830,38 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   in
   (* per-instruction fault-site streams, compiled to hooks (or to nothing) *)
   let site_hook : (unit -> unit) option =
-    match cfg.inject with
-    | Some inj -> (
-        match inj.kind with
-        | Mem_flip when is_mem_site ->
-            Some
-              (fun () ->
-                m.mem_count <- m.mem_count + 1;
-                if m.mem_count = inj.at then m.mem_flip_armed <- true)
-        | Addr_flip when is_mem_site ->
-            let bmask = Int64.shift_left 1L (inj.bit land 63) in
-            Some
-              (fun () ->
-                m.mem_count <- m.mem_count + 1;
-                if m.mem_count = inj.at then m.addr_mask <- bmask)
-        | Branch_flip when is_br_site ->
-            Some
-              (fun () ->
-                m.br_count <- m.br_count + 1;
-                if m.br_count = inj.at then m.cf_divert <- true)
-        | _ -> None)
-    | None ->
-        if not cfg.count_inject_sites then None
-        else if is_mem_site then Some (fun () -> m.mem_count <- m.mem_count + 1)
-        else if is_br_site then Some (fun () -> m.br_count <- m.br_count + 1)
-        else None
+    if mem_site cfg ~hardened it then
+      match cfg.inject with
+      | Some ({ kind = Addr_flip; _ } as inj) ->
+          let bmask = Int64.shift_left 1L (inj.bit land 63) in
+          Some
+            (fun () ->
+              m.mem_count <- m.mem_count + 1;
+              if m.mem_count = inj.at then m.addr_mask <- bmask)
+      | Some inj ->
+          Some
+            (fun () ->
+              m.mem_count <- m.mem_count + 1;
+              if m.mem_count = inj.at then m.mem_flip_armed <- true)
+      | None -> Some (fun () -> m.mem_count <- m.mem_count + 1)
+    else if is_br_site then
+      match cfg.inject with
+      | Some ({ kind = Branch_flip; _ } as inj) ->
+          Some
+            (fun () ->
+              m.br_count <- m.br_count + 1;
+              if m.br_count = inj.at then m.cf_divert <- true)
+      | Some _ -> None
+      | None -> if cfg.count_inject_sites then Some (fun () -> m.br_count <- m.br_count + 1) else None
+    else None
   in
   (* register-SEU stream: applied to the (caller) frame after the op body,
      exactly like [step]'s epilogue *)
   let reg_hook : (frame -> unit) option =
-    if fl land Code.fl_inject = 0 then None
+    if not (reg_site cfg it) then None
     else
       match cfg.inject with
-      | Some inj when inj.kind = Reg_flip ->
+      | Some inj ->
           let dlanes = max it.Code.dlanes 1 in
           Some
             (fun fr ->
@@ -1820,10 +1882,7 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
                 | None -> ());
                 mark_injected m cls
               end)
-      | Some _ -> None
-      | None ->
-          if cfg.count_inject_sites then Some (fun _ -> m.inj_count <- m.inj_count + 1)
-          else None
+      | None -> Some (fun _ -> m.inj_count <- m.inj_count + 1)
   in
   let trace_hook : (thread -> unit) option =
     match cfg.trace with
@@ -1906,94 +1965,86 @@ let leaders (cf : Code.cfunc) : bool array =
     code;
   l
 
-(* Deoptimization rules: a prefix instruction is fusable only if
-   [compile_item] would compile NO hook into it under this config, so the
-   fused (hook-free) body is bit-identical by construction.  Armed
-   mem/addr faults are applied and cleared by the very instruction whose
-   site hook armed them, so instructions that are not sites of the
-   injected kind can never observe an armed flag and fuse safely.
-   Majority-vote ops ([Rgather]/[Rscatter]) are excluded whenever a fault
-   is in flight: a recovery vote records detection latency against
-   [total_instrs], which inside a fused block is bulk-updated. *)
-let fusable (cfg : config) ~(hardened : bool) (it : Code.citem) : bool =
-  let fl = it.Code.flags in
-  let is_mem_site = hardened && fl land (Code.fl_load lor Code.fl_store) <> 0 in
-  let is_reg_site = fl land Code.fl_inject <> 0 in
-  let logs_stores =
-    match it.Code.op with
-    | Code.Rstore _ | Code.Rvstore _ | Code.Ratomic _ | Code.Rcmpxchg _
-    | Code.Rscatter _ ->
-        true
-    | _ -> false
-  in
-  let votes =
-    match it.Code.op with Code.Rgather _ | Code.Rscatter _ -> true | _ -> false
-  in
-  (match cfg.inject with
-  | Some inj -> (
-      (not votes)
-      &&
-      match inj.kind with
-      | Reg_flip -> not is_reg_site
-      | Mem_flip | Addr_flip -> not is_mem_site
-      | Branch_flip -> true)
-  | None -> (not cfg.count_inject_sites) || not (is_reg_site || is_mem_site))
-  && ((not (cfg.reexec_retries > 0)) || not logs_stores)
-
 (* One prefix instruction of a fused block: the [compile_body] semantics
-   with every hook compiled out (fusion eligibility guarantees none could
-   fire) and the precompiled static timing plan in place of the
-   per-instance [Timing.exec] μop walk. *)
+   with the fault hooks compiled out (the block guard in
+   [compiled_quantum] keeps every armed site out of fused blocks) and the
+   precompiled static timing plan in place of the per-instance
+   [Timing.exec] μop walk.  Undo-log stores stay in under re-execution
+   recovery: they read only the thread's live checkpoint. *)
 let compile_fused_step (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     (frame -> int) * (thread -> frame -> int -> int) =
   let dst = it.Code.dst in
-  let plan = Timing.plan_of_uops it.Code.uops in
+  let plan = it.Code.plan in
   let finish_plain th (fr : frame) ready mem_lat =
     let completion = Timing.exec_plan th.timing ~ready ~mem_lat plan in
     if dst >= 0 then fr.ready.(dst) <- completion
   in
   let body =
-    compile_body m cf pc it ~addr_faults:false ~mem_faults:false
-      ~cf_faults:false ~reexec_on:false ~finish_plain
+    compile_body m cf pc it ~addr_faults:false ~mem_faults:false ~cf_faults:false
+      ~reexec_on:(m.cfg.reexec_retries > 0) ~finish_plain
   in
   (ready_fn it.Code.srcs, body)
 
 (* Fuses the straight-line prefix [s .. s+plen-1] plus an optional
    trailing ender into one closure.  The prefix's counter deltas — its
-   static cost summary — are precomputed and applied in bulk on entry; a
-   mid-prefix trap retracts the unexecuted suffix so [total_instrs],
-   counters and hence detection latency stay bit-identical with
-   per-instruction execution (the trapping instruction itself counts,
-   exactly as in [step]).  The ender runs through its regular
-   per-instruction closure, keeping its own hooks, timing, prediction and
-   control transfer intact.  Prefixes never contain branch instructions
-   ([fl_branch] ops are all enders), so no branch counter is needed. *)
+   static cost summary, including its register and memory fault sites —
+   are precomputed and applied in bulk on entry; [m.blk_left] tracks the
+   steps still to run, so detection latency recorded mid-block is exact
+   ([retired]).  A mid-prefix trap retracts the unexecuted suffix so
+   [total_instrs], counters and site streams stay bit-identical with
+   per-instruction execution.  The trapping instruction itself counts,
+   exactly as in [step]; mind the hook order there: its memory site is
+   counted (the site hook runs before the body) but its register site is
+   not (the register hook runs after it).  The ender runs through its
+   regular per-instruction closure, keeping its own hooks, timing,
+   prediction and control transfer intact.  Prefixes never contain branch
+   instructions ([fl_branch] ops are all enders), so no branch counter is
+   needed. *)
 let compile_block (m : t) (cf : Code.cfunc)
     (kc : (thread -> frame -> int) array) (s : int) (plen : int)
     (ender : int option) : thread -> frame -> int =
   let code = cf.Code.code in
+  let cfg = m.cfg in
+  let hardened = cf.Code.cf_hardened in
   (* suffix sums of the prefix's counter deltas, for trap retraction:
      [suf_X.(i)] covers prefix steps [i .. plen-1] *)
   let suf_uops = Array.make (plen + 1) 0 in
   let suf_avx = Array.make (plen + 1) 0 in
   let suf_loads = Array.make (plen + 1) 0 in
   let suf_stores = Array.make (plen + 1) 0 in
+  let suf_sites = Array.make (plen + 1) 0 in
+  let suf_msites = Array.make (plen + 1) 0 in
+  let one b = if b then 1 else 0 in
   for i = plen - 1 downto 0 do
     let it = code.(s + i) in
     let fl = it.Code.flags in
     suf_uops.(i) <- suf_uops.(i + 1) + Array.length it.Code.uops;
-    suf_avx.(i) <- (suf_avx.(i + 1) + if fl land Code.fl_avx <> 0 then 1 else 0);
-    suf_loads.(i) <- (suf_loads.(i + 1) + if fl land Code.fl_load <> 0 then 1 else 0);
-    suf_stores.(i) <- (suf_stores.(i + 1) + if fl land Code.fl_store <> 0 then 1 else 0)
+    suf_avx.(i) <- suf_avx.(i + 1) + one (fl land Code.fl_avx <> 0);
+    suf_loads.(i) <- suf_loads.(i + 1) + one (fl land Code.fl_load <> 0);
+    suf_stores.(i) <- suf_stores.(i + 1) + one (fl land Code.fl_store <> 0);
+    suf_sites.(i) <- suf_sites.(i + 1) + one (reg_site cfg it);
+    suf_msites.(i) <- suf_msites.(i + 1) + one (mem_site cfg ~hardened it)
   done;
   let t_uops = suf_uops.(0) and t_avx = suf_avx.(0) in
   let t_loads = suf_loads.(0) and t_stores = suf_stores.(0) in
+  let t_sites = suf_sites.(0) and t_msites = suf_msites.(0) in
+  let fb_len = match ender with Some _ -> plen + 1 | None -> plen in
   let steps =
     Array.init plen (fun i -> compile_fused_step m cf (s + i) code.(s + i))
   in
-  (* progress through the prefix, for trap retraction; machines run
-     single-domain and blocks are never re-entered mid-flight *)
-  let progress = ref plen in
+  (* the prefix as one chain; machines run single-domain and blocks are
+     never re-entered mid-flight, so one machine field tracks progress *)
+  let rec chain i (k : thread -> frame -> unit) : thread -> frame -> unit =
+    if i < 0 then k
+    else
+      let ready_of, body = steps.(i) in
+      let left = plen - 1 - i in
+      chain (i - 1) (fun th fr ->
+          m.blk_left <- left;
+          ignore (body th fr (ready_of fr) : int);
+          k th fr)
+  in
+  let prefix = chain (plen - 1) (fun _ _ -> m.blk_left <- 0) in
   let tail : thread -> frame -> int =
     match ender with
     | Some e ->
@@ -2005,47 +2056,41 @@ let compile_block (m : t) (cf : Code.cfunc)
         let nxt = s + plen in
         fun _ _ -> nxt
   in
-  let rec chain i (k : thread -> frame -> int) : thread -> frame -> int =
-    if i < 0 then k
-    else
-      let ready_of, body = steps.(i) in
-      chain (i - 1) (fun th fr ->
-          progress := i;
-          ignore (body th fr (ready_of fr) : int);
-          k th fr)
-  in
-  let body =
-    chain (plen - 1) (fun th fr ->
-        progress := plen;
-        tail th fr)
-  in
   fun th fr ->
     m.total_instrs <- m.total_instrs + plen;
+    m.fused_instrs <- m.fused_instrs + fb_len;
+    if t_sites > 0 then m.inj_count <- m.inj_count + t_sites;
+    if t_msites > 0 then m.mem_count <- m.mem_count + t_msites;
     let ctr = th.ctr in
     ctr.Counters.instrs <- ctr.Counters.instrs + plen;
     ctr.Counters.uops <- ctr.Counters.uops + t_uops;
     if t_avx > 0 then ctr.Counters.avx_instrs <- ctr.Counters.avx_instrs + t_avx;
     if t_loads > 0 then ctr.Counters.loads <- ctr.Counters.loads + t_loads;
     if t_stores > 0 then ctr.Counters.stores <- ctr.Counters.stores + t_stores;
-    try body th fr
-    with Trap _ as ex ->
-      let p = !progress in
-      if p < plen then begin
-        m.total_instrs <- m.total_instrs - (plen - p - 1);
-        ctr.Counters.instrs <- ctr.Counters.instrs - (plen - p - 1);
-        ctr.Counters.uops <- ctr.Counters.uops - suf_uops.(p + 1);
-        ctr.Counters.avx_instrs <- ctr.Counters.avx_instrs - suf_avx.(p + 1);
-        ctr.Counters.loads <- ctr.Counters.loads - suf_loads.(p + 1);
-        ctr.Counters.stores <- ctr.Counters.stores - suf_stores.(p + 1)
-      end;
-      raise ex
+    (try prefix th fr
+     with Trap _ as ex ->
+       let left = m.blk_left in
+       let p = plen - 1 - left in
+       m.blk_left <- 0;
+       m.total_instrs <- m.total_instrs - left;
+       m.fused_instrs <- m.fused_instrs - (fb_len - p - 1);
+       m.inj_count <- m.inj_count - suf_sites.(p);
+       m.mem_count <- m.mem_count - suf_msites.(p + 1);
+       ctr.Counters.instrs <- ctr.Counters.instrs - left;
+       ctr.Counters.uops <- ctr.Counters.uops - suf_uops.(p + 1);
+       ctr.Counters.avx_instrs <- ctr.Counters.avx_instrs - suf_avx.(p + 1);
+       ctr.Counters.loads <- ctr.Counters.loads - suf_loads.(p + 1);
+       ctr.Counters.stores <- ctr.Counters.stores - suf_stores.(p + 1);
+       raise ex);
+    tail th fr
 
 (* Builds the compiled engine's tables, compiling nothing yet: each
    [kcode.(cf_id).(pc)] starts as a stub that compiles its instruction on
-   the first call, patches the table and runs the result.  Which blocks
-   fuse is decided here, eagerly: [kblocks.(cf_id).(pc)] is [Some b] iff a
-   maximal straight-line run starting at [pc] is all [fusable] (tracing
-   and profiling need per-instruction hooks, so they fuse nothing), and
+   the first call, patches the table and runs the result.  Block
+   boundaries are found here, eagerly, and depend only on the code:
+   [kblocks.(cf_id).(pc)] is [Some b] iff a straight-line run starts at
+   [pc] (tracing and profiling need per-instruction hooks, so they fuse
+   nothing), with its site window precounted for the run-time guard, and
    [b.fb_exec] compiles the block on first entry and replaces itself.
    Deferring is sound because compilation reads only [cfg] and the code,
    never run state. *)
@@ -2067,17 +2112,6 @@ let kcompile (m : t) =
           cf.Code.code;
         kc)
       m.code.Code.cfuncs;
-  let lazy_block cf kc s plen ender =
-    let fb =
-      { fb_len = (match ender with Some _ -> plen + 1 | None -> plen); fb_exec = stub }
-    in
-    fb.fb_exec <-
-      (fun th fr ->
-        let k = compile_block m cf kc s plen ender in
-        fb.fb_exec <- k;
-        k th fr);
-    Some fb
-  in
   m.kblocks <-
     Array.map
       (fun (cf : Code.cfunc) ->
@@ -2094,13 +2128,29 @@ let kcompile (m : t) =
               while !e < n && (not (is_ender code.(!e))) && not l.(!e) do
                 incr e
               done;
-              let plen = !e - s in
-              let ok = ref true in
-              for j = s to !e - 1 do
-                if not (fusable cfg ~hardened code.(j)) then ok := false
-              done;
-              if !ok && !e < n then
-                tbl.(s) <- lazy_block cf kc s plen (if l.(!e) then None else Some !e)
+              if !e < n then begin
+                let plen = !e - s in
+                let ender = if l.(!e) then None else Some !e in
+                let sites = ref 0 and msites = ref 0 in
+                for j = s to !e - 1 do
+                  if reg_site cfg code.(j) then incr sites;
+                  if mem_site cfg ~hardened code.(j) then incr msites
+                done;
+                let fb =
+                  {
+                    fb_len = (match ender with Some _ -> plen + 1 | None -> plen);
+                    fb_sites = !sites;
+                    fb_msites = !msites;
+                    fb_exec = stub;
+                  }
+                in
+                fb.fb_exec <-
+                  (fun th fr ->
+                    let k = compile_block m cf kc s plen ender in
+                    fb.fb_exec <- k;
+                    k th fr);
+                tbl.(s) <- Some fb
+              end
             end
           done
         end;
@@ -2137,13 +2187,21 @@ let ref_quantum (m : t) (th : thread) =
    the quantum budget expires mid-frame (frame switches maintain it
    inline, per the closure return protocol).  At a fused block start the
    whole superblock runs as one closure and the budget is debited once by
-   its dynamic length; everywhere else (deoptimized blocks, mid-block pcs
-   after a budget expiry or snapshot restore, blocks longer than the
-   remaining budget, the [max_instrs] ceiling) execution falls back to the
-   per-instruction closures.  Quanta therefore end after exactly the same
-   instruction counts as the reference engine, preserving
-   snapshot/abort/chaos boundary semantics, and the ceiling check
-   guarantees [Hang] can never fire inside a fused block. *)
+   its dynamic length; everywhere else (mid-block pcs after a budget
+   expiry or snapshot restore, blocks longer than the remaining budget,
+   the [max_instrs] ceiling, the one block instance whose site window
+   holds the armed fault) execution falls back to the per-instruction
+   closures.  Quanta therefore end after exactly the same instruction
+   counts as the reference engine, preserving snapshot/abort/chaos
+   boundary semantics, and the ceiling check guarantees [Hang] can never
+   fire inside a fused block.
+
+   The fault guard: a block fuses once the fault is injected, or while
+   the armed site lies beyond the block's window — the prefix's sites
+   are numbered [count + 1 .. count + fb_sites], so [count + fb_sites <
+   fire_at] means none of them is the armed one.  A block whose window
+   has already passed an armed but unapplied site (an armed flag still
+   pending) fails the test too, so nothing fused can observe a flag. *)
 let compiled_quantum (m : t) (th : thread) =
   let max_instrs = m.cfg.max_instrs in
   let budget = ref quantum in
@@ -2160,7 +2218,10 @@ let compiled_quantum (m : t) (th : thread) =
         match blocks.(!pc) with
         | Some fb
           when fb.fb_len <= !budget
-               && m.total_instrs + fb.fb_len <= max_instrs ->
+               && m.total_instrs + fb.fb_len <= max_instrs
+               && ((m.inj_count + fb.fb_sites < m.reg_fire_at
+                    && m.mem_count + fb.fb_msites < m.mem_fire_at)
+                   || m.injected) ->
             budget := !budget - fb.fb_len;
             fb.fb_exec th fr
         | _ ->
@@ -2462,6 +2523,7 @@ let restore ?(cfg = default_config) ?(reuse = false) (sn : snapshot) : t =
   in
   let alloc_sizes = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace alloc_sizes k v) sn.sn_allocs;
+  let reg_fire_at, mem_fire_at = fire_points cfg in
   let m =
     {
       code = sn.sn_code;
@@ -2489,6 +2551,11 @@ let restore ?(cfg = default_config) ?(reuse = false) (sn : snapshot) : t =
       inject_instr = -1;
       detect_instr = -1;
       inject_class = "";
+      reg_fire_at;
+      mem_fire_at;
+      blk_left = 0;
+      fused_instrs = 0;
+      start_instrs = sn.sn_total_instrs;
     }
   in
   Buffer.add_string m.output sn.sn_output;

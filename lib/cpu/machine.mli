@@ -111,12 +111,15 @@ val second_flip :
 
 (** Execution engine selection.  [Compiled] (the default) translates each
     instruction, on first execution, into a closure specialized on its
-    operands and the config's hooks, and fuses straight-line runs into
-    superblock closures with a precompiled static timing plan; blocks
-    carrying compiled-in hooks (armed fault sites, site census, undo log,
-    tracing, profiling) deoptimize to the per-instruction closures.
-    [Reference] is the original interpreter, kept as the executable
-    specification; both engines produce bit-identical results. *)
+    operands and the config's hooks, and fuses every straight-line run
+    into a superblock closure with a precompiled static timing plan and
+    bulk-counted counters and fault sites (site census, undo-log stores
+    and votes included).  A run-time guard deoptimizes only the one block
+    instance whose site window holds the armed fault, which then runs on
+    the per-instruction closures; tracing and profiling disable fusion
+    for the whole run.  [Reference] is the original interpreter, kept as
+    the executable specification; both engines produce bit-identical
+    results. *)
 type engine_kind = Reference | Compiled
 
 val engines : engine_kind list
@@ -171,7 +174,8 @@ val default_config : config
 
 (** One fused superblock of the [Compiled] engine (opaque): a hook-free
     straight-line prefix plus optional trailing ender, run as one
-    closure. *)
+    closure, with the prefix's fault-site counts for the run-time
+    guard. *)
 type fblock
 
 type t = {
@@ -202,7 +206,28 @@ type t = {
   mutable inject_instr : int;
   mutable detect_instr : int;
   mutable inject_class : string;
+  reg_fire_at : int;
+      (** [inj_count] value at which the armed fault fires ([max_int]
+          when no register fault is armed) *)
+  mem_fire_at : int;  (** same, for the [mem_count] stream *)
+  mutable blk_left : int;
+      (** steps still to run in the executing fused block (0 outside
+          one): [total_instrs] already counts them *)
+  mutable fused_instrs : int;  (** instructions run inside fused blocks *)
+  start_instrs : int;
+      (** [total_instrs] when the machine was built: 0, or the prefix a
+          {!restore} skipped *)
 }
+
+(** Which execution path ran how much of one machine's work — a
+    diagnostic kept out of {!result}, which is engine-independent. *)
+type exec_stats = {
+  fused : int;  (** instructions run inside fused blocks (prefix and ender) *)
+  stepped : int;  (** instructions run one at a time *)
+  skipped : int;  (** instructions fast-forward skipped (restored prefix) *)
+}
+
+val exec_stats : t -> exec_stats
 
 type result = {
   wall_cycles : int;

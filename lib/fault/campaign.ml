@@ -133,6 +133,7 @@ type report = {
   interrupted : bool;  (** cancelled before every experiment completed *)
   jobs : int;
   spans : Obs.Span.row list;  (** where the campaign's wall time went *)
+  paths : Cpu.Machine.exec_stats;  (** execution paths of the executed runs, summed *)
 }
 
 (* ---- checkpointing ---- *)
@@ -294,6 +295,7 @@ type shared = {
   mutable executed : int;  (** completed minus checkpoint-restored/quarantined *)
   mutable restored : int;  (** completed experiments replayed from the checkpoint *)
   mutable quarantined : int;  (** experiments the supervisor gave up on *)
+  mutable paths : Cpu.Machine.exec_stats;  (** summed over executed runs *)
   mutable ck_pending : ck_record list;
       (** records since the last checkpoint append, newest first *)
   mutable since_save : int;
@@ -457,7 +459,16 @@ let run_batch ~(jobs : int) ~(spec : Fault.run_spec) ~(golden : Cpu.Machine.resu
               Supervisor.supervised_run sup ~cancel ~round ~slot ~chaos ~max_instrs
                 ~snapshots ~spans spec e
             with
-            | Supervisor.V_ok r -> (true, C_obs (Fault.observe ~golden r))
+            | Supervisor.V_ok (r, p) ->
+                Mutex.protect shared.mutex (fun () ->
+                    let s = shared.paths in
+                    shared.paths <-
+                      {
+                        Cpu.Machine.fused = s.Cpu.Machine.fused + p.Cpu.Machine.fused;
+                        stepped = s.Cpu.Machine.stepped + p.Cpu.Machine.stepped;
+                        skipped = s.Cpu.Machine.skipped + p.Cpu.Machine.skipped;
+                      });
+                (true, C_obs (Fault.observe ~golden r))
             | Supervisor.V_quarantined te -> (true, C_poison te)
             | Supervisor.V_cancelled -> (true, C_none)))
   in
@@ -540,6 +551,7 @@ let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder
       executed = 0;
       restored = 0;
       quarantined = 0;
+      paths = { Cpu.Machine.fused = 0; stepped = 0; skipped = 0 };
       ck_pending = [];
       since_save = 0;
       progress_warned = false;
@@ -640,6 +652,7 @@ let run ?jobs ?progress ?checkpoint ?redraw ?(snapshots = [||]) ?recorder
     interrupted;
     jobs;
     spans = Obs.Span.rows spans;
+    paths = shared.paths;
   }
 
 (* ---- whole campaigns (the paper's Fig. 13 / §III-C experiments) ---- *)

@@ -90,6 +90,13 @@ type report = {
           non-deterministic; everything else in the report above is
           bit-identical for any worker count, for the experiments that
           completed. *)
+  paths : Cpu.Machine.exec_stats;
+      (** which execution paths the executed injection runs took, summed:
+          instructions run fused, run per-instruction, and skipped by
+          snapshot fast-forward.  Depends on the engine (all per-instruction
+          under [Reference]) and on fast-forward, so it is a diagnostic,
+          never part of the results.  Checkpoint-restored experiments are
+          not counted. *)
 }
 
 (** [run ?jobs ?progress ?checkpoint ?redraw ~spec ~golden exps] runs a

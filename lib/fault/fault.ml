@@ -79,10 +79,14 @@ type experiment = {
   kind : Cpu.Machine.fault_kind;
 }
 
-let run_with (spec : run_spec) (cfg : Cpu.Machine.config) : Cpu.Machine.result =
+let run_machine (spec : run_spec) (cfg : Cpu.Machine.config) :
+    Cpu.Machine.t * Cpu.Machine.result =
   let machine = Cpu.Machine.create ~cfg ~flags_cmp:spec.flags_cmp spec.modul in
   spec.init machine;
-  Cpu.Machine.run ~args:spec.args machine spec.entry
+  (machine, Cpu.Machine.run ~args:spec.args machine spec.entry)
+
+let run_with (spec : run_spec) (cfg : Cpu.Machine.config) : Cpu.Machine.result =
+  snd (run_machine spec cfg)
 
 (* Fault-free reference run; also counts the injection-eligible dynamic
    instructions (the "instruction trace" step of §IV-B) and the
@@ -238,24 +242,31 @@ let pick_snapshot (snapshots : Cpu.Machine.snapshot array) (e : experiment) :
    fault-free prefix, restore the latest golden snapshot preceding the
    injection site and resume under the injecting config.  Snapshots carry
    their site counters, so the pre-drawn plan stays valid and the outcome
-   is bit-identical to a from-scratch run (the prefix is deterministic). *)
-let run_experiment_from ?max_instrs ?spans ?abort ?chaos
+   is bit-identical to a from-scratch run (the prefix is deterministic).
+   Also returns which execution paths the run took. *)
+let run_experiment_paths ?max_instrs ?spans ?abort ?chaos
     ~(snapshots : Cpu.Machine.snapshot array) (spec : run_spec) (e : experiment) :
-    Cpu.Machine.result =
+    Cpu.Machine.result * Cpu.Machine.exec_stats =
   let cfg = experiment_cfg ?max_instrs ?abort ?chaos spec e in
-  match pick_snapshot snapshots e with
-  | None -> run_with spec cfg
-  | Some sn ->
-      (* ~reuse is sound here: each worker runs one experiment at a time
-         and drops the machine before the next restore *)
-      let m =
-        match spans with
-        | None -> Cpu.Machine.restore ~cfg ~reuse:true sn
-        | Some r ->
-            Obs.Span.time r "exec/restore" (fun () ->
-                Cpu.Machine.restore ~cfg ~reuse:true sn)
-      in
-      Cpu.Machine.resume m
+  let m, r =
+    match pick_snapshot snapshots e with
+    | None -> run_machine spec cfg
+    | Some sn ->
+        (* ~reuse is sound here: each worker runs one experiment at a time
+           and drops the machine before the next restore *)
+        let m =
+          match spans with
+          | None -> Cpu.Machine.restore ~cfg ~reuse:true sn
+          | Some r ->
+              Obs.Span.time r "exec/restore" (fun () ->
+                  Cpu.Machine.restore ~cfg ~reuse:true sn)
+        in
+        (m, Cpu.Machine.resume m)
+  in
+  (r, Cpu.Machine.exec_stats m)
+
+let run_experiment_from ?max_instrs ?spans ?abort ?chaos ~snapshots spec e =
+  fst (run_experiment_paths ?max_instrs ?spans ?abort ?chaos ~snapshots spec e)
 
 (* One experiment: flip [bit] of one lane of the destination of the [at]-th
    injection-eligible instruction. *)

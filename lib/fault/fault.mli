@@ -126,6 +126,19 @@ val run_experiment_from :
   experiment ->
   Cpu.Machine.result
 
+(** {!run_experiment_from}, also returning which execution paths the run
+    took ({!Cpu.Machine.exec_stats}: fused, per-instruction, skipped by
+    fast-forward) — a diagnostic the result deliberately leaves out. *)
+val run_experiment_paths :
+  ?max_instrs:int ->
+  ?spans:Obs.Span.t ->
+  ?abort:(unit -> bool) ->
+  ?chaos:(unit -> unit) ->
+  snapshots:Cpu.Machine.snapshot array ->
+  run_spec ->
+  experiment ->
+  Cpu.Machine.result * Cpu.Machine.exec_stats
+
 (** One experiment: flip [bit] of one lane of the destination of the
     [at]-th injection-eligible instruction. *)
 val inject_one :

@@ -73,7 +73,7 @@ let chaos_hook (plan : chaos_plan) ~(slot : int) : (unit -> unit) option =
 (* ---- one supervised experiment ---- *)
 
 type verdict =
-  | V_ok of Cpu.Machine.result
+  | V_ok of Cpu.Machine.result * Cpu.Machine.exec_stats
   | V_quarantined of tool_error
   | V_cancelled
 
@@ -90,9 +90,9 @@ let supervised_run (cfg : config) ~(cancel : bool Atomic.t) ~(round : int) ~(slo
     else
       let hook = chaos_hook chaos ~slot in
       match
-        Fault.run_experiment_from ~max_instrs ~spans ~abort ?chaos:hook ~snapshots spec e
+        Fault.run_experiment_paths ~max_instrs ~spans ~abort ?chaos:hook ~snapshots spec e
       with
-      | r -> V_ok r
+      | r, paths -> V_ok (r, paths)
       | exception Cpu.Machine.Abort -> V_cancelled
       | exception Worker_kill ->
           (* deliberate worker death (chaos): let it escape to the pool's

@@ -94,7 +94,8 @@ exception Worker_kill
 (** {2 One supervised experiment} *)
 
 type verdict =
-  | V_ok of Cpu.Machine.result  (** the run completed; result untouched *)
+  | V_ok of Cpu.Machine.result * Cpu.Machine.exec_stats
+      (** the run completed; result untouched, plus its execution paths *)
   | V_quarantined of tool_error  (** gave up; exclude the slot and record *)
   | V_cancelled  (** [cancel] was set: slot simply not executed *)
 

@@ -13,8 +13,11 @@ module J = Obs.Json
    v4: two engines; "elzar.bench.interp" renamed "closure_speedup" to
    "compiled_speedup" and its "gmean_speedup" pairs to the one
    "compiled_over_reference", and the "engine" values "closure"/"block"
-   became "compiled". *)
-let version = 4
+   became "compiled".
+   v5: execution-path diagnostics — campaign "timing" gained
+   "instrs_fused"/"instrs_stepped"/"instrs_ff_skipped"/"fused_fraction",
+   and run documents gained a "timing" section with the same members. *)
+let version = 5
 
 let versioned ~(schema : string) (fields : (string * J.t) list) : J.t =
   J.Obj (("schema", J.Str schema) :: ("version", J.Int version) :: fields)
@@ -136,6 +139,19 @@ let campaign_results (r : Campaign.report) : J.t =
       ("tool_errors", J.List (List.map tool_error r.Campaign.quarantined));
     ]
 
+(* Which execution paths ran the work: instructions run inside fused
+   blocks, run one at a time, and skipped by snapshot fast-forward, plus
+   the fused share of the executed ones. *)
+let paths_fields (p : Cpu.Machine.exec_stats) : (string * J.t) list =
+  let executed = p.Cpu.Machine.fused + p.Cpu.Machine.stepped in
+  [
+    ("instrs_fused", J.Int p.Cpu.Machine.fused);
+    ("instrs_stepped", J.Int p.Cpu.Machine.stepped);
+    ("instrs_ff_skipped", J.Int p.Cpu.Machine.skipped);
+    ( "fused_fraction",
+      J.Float (float_of_int p.Cpu.Machine.fused /. float_of_int (max 1 executed)) );
+  ]
+
 let campaign ?(params = []) (r : Campaign.report) : J.t =
   versioned ~schema:"elzar.campaign"
     [
@@ -143,19 +159,21 @@ let campaign ?(params = []) (r : Campaign.report) : J.t =
       ("results", campaign_results r);
       ( "timing",
         J.Obj
-          [
-            ("wall_seconds", J.Float r.Campaign.wall_seconds);
-            ("cycles_simulated", J.Int r.Campaign.cycles_simulated);
-            ("experiments_run", J.Int r.Campaign.experiments_run);
-            ("restored", J.Int r.Campaign.restored);
-            ("jobs", J.Int r.Campaign.jobs);
-            ("worker_deaths", J.Int r.Campaign.worker_deaths);
-            ("interrupted", J.Bool r.Campaign.interrupted);
-          ] );
+          ([
+             ("wall_seconds", J.Float r.Campaign.wall_seconds);
+             ("cycles_simulated", J.Int r.Campaign.cycles_simulated);
+             ("experiments_run", J.Int r.Campaign.experiments_run);
+             ("restored", J.Int r.Campaign.restored);
+             ("jobs", J.Int r.Campaign.jobs);
+             ("worker_deaths", J.Int r.Campaign.worker_deaths);
+             ("interrupted", J.Bool r.Campaign.interrupted);
+           ]
+          @ paths_fields r.Campaign.paths) );
       ("spans", spans r.Campaign.spans);
     ]
 
-let run_result ?(params = []) ?profile:prof (r : Cpu.Machine.result) : J.t =
+let run_result ?(params = []) ?profile:prof ~(paths : Cpu.Machine.exec_stats)
+    (r : Cpu.Machine.result) : J.t =
   versioned ~schema:"elzar.run"
     ([
        ("run", J.Obj params);
@@ -169,6 +187,7 @@ let run_result ?(params = []) ?profile:prof (r : Cpu.Machine.result) : J.t =
        ("recovered_faults", J.Int r.Cpu.Machine.recovered_faults);
        ("retried_faults", J.Int r.Cpu.Machine.retried_faults);
        ("reexecutions", J.Int r.Cpu.Machine.reexecutions);
+       ("timing", J.Obj (paths_fields paths));
      ]
     @ match prof with Some p -> [ ("profile", profile p) ] | None -> [])
 

@@ -47,19 +47,27 @@ val profile : Cpu.Profile.t -> Obs.Json.t
     (quarantine backtraces, which vary host to host, are excluded). *)
 val campaign_results : Campaign.report -> Obs.Json.t
 
+(** Execution-path members of a ["timing"] section (version 5):
+    ["instrs_fused"], ["instrs_stepped"] (run per-instruction),
+    ["instrs_ff_skipped"] (skipped by snapshot fast-forward) and
+    ["fused_fraction"] (fused over executed). *)
+val paths_fields : Cpu.Machine.exec_stats -> (string * Obs.Json.t) list
+
 (** Full campaign document (schema ["elzar.campaign"]): [params] (caller
     context such as workload/build/seed), the deterministic
     {!campaign_results}, and the run-variant ["timing"] (including the
-    version-2 ["worker_deaths"]/["interrupted"] supervision fields) and
+    version-2 ["worker_deaths"]/["interrupted"] supervision fields and the
+    version-5 {!paths_fields} of the executed injection runs) and
     ["spans"] sections. *)
 val campaign : ?params:(string * Obs.Json.t) list -> Campaign.report -> Obs.Json.t
 
 (** Single-run document (schema ["elzar.run"]): wall cycles, counter
-    totals, output digest, recovery counters, optional per-class
-    profile. *)
+    totals, output digest, recovery counters, a ["timing"] section with
+    the run's {!paths_fields} (version 5), optional per-class profile. *)
 val run_result :
   ?params:(string * Obs.Json.t) list ->
   ?profile:Cpu.Profile.t ->
+  paths:Cpu.Machine.exec_stats ->
   Cpu.Machine.result ->
   Obs.Json.t
 

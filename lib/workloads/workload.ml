@@ -28,8 +28,9 @@ let make ?(fi_ok = true) ~name ~description ~build ?(init = fun _ _ -> ()) () =
 
 (* Builds, prepares (runs the pass pipeline of the chosen flavour), loads
    and executes a workload; the module is verified along the way. *)
-let execute ?(machine_cfg = Cpu.Machine.default_config) (w : t) ~(build : Elzar.build)
-    ~(nthreads : int) ~(size : size) : Cpu.Machine.result =
+let execute_paths ?(machine_cfg = Cpu.Machine.default_config) (w : t)
+    ~(build : Elzar.build) ~(nthreads : int) ~(size : size) :
+    Cpu.Machine.result * Cpu.Machine.exec_stats =
   let m = w.build size in
   let prepared = Elzar.prepare build m in
   let machine_cfg =
@@ -41,7 +42,11 @@ let execute ?(machine_cfg = Cpu.Machine.default_config) (w : t) ~(build : Elzar.
     Cpu.Machine.create ~cfg:machine_cfg ~flags_cmp:(Elzar.uses_flags_cmp build) prepared
   in
   w.init size machine;
-  Cpu.Machine.run ~args:[| Int64.of_int nthreads |] machine "main"
+  let r = Cpu.Machine.run ~args:[| Int64.of_int nthreads |] machine "main" in
+  (r, Cpu.Machine.exec_stats machine)
+
+let execute ?machine_cfg w ~build ~nthreads ~size =
+  fst (execute_paths ?machine_cfg w ~build ~nthreads ~size)
 
 (* Same, but from an already prepared module (lets benchmarks prepare once
    and sweep thread counts).  [reexec_retries] must be supplied again

@@ -32,6 +32,15 @@ val execute :
   size:size ->
   Cpu.Machine.result
 
+(** {!execute}, also returning which execution paths the run took. *)
+val execute_paths :
+  ?machine_cfg:Cpu.Machine.config ->
+  t ->
+  build:Elzar.build ->
+  nthreads:int ->
+  size:size ->
+  Cpu.Machine.result * Cpu.Machine.exec_stats
+
 (** Same, from an already prepared module (prepare once, sweep threads).
     [reexec_retries] re-supplies the re-execution recovery budget of the
     build (the flavour is no longer visible from the prepared module);

@@ -5,8 +5,8 @@
    restoring a mid-run snapshot and resuming reproduces the reference run
    exactly (the soundness condition behind campaign fast-forward, and
    behind lazy compilation: a restored machine first compiles each
-   instruction at a different run state), that fused blocks deoptimize
-   armed fault sites to per-instruction execution, that supervision
+   instruction at a different run state), that an armed fault site
+   deoptimizes only the block instance holding it, that supervision
    hooks keep quantum-boundary discipline, and that lazy compilation
    patches each code slot once. *)
 
@@ -181,47 +181,201 @@ let count_fused (m : Cpu.Machine.t) =
       Array.fold_left (fun a b -> match b with Some _ -> a + 1 | None -> a) acc tbl)
     0 m.Cpu.Machine.kblocks
 
-(* dedicated deoptimization check: arming a fault kind must deoptimize
-   exactly the blocks carrying its sites (strictly fewer fused blocks than
-   an unarmed build), and the armed site must fall back to per-instruction
-   execution and fire at the exact dynamic instruction — site streams,
-   injected class and detection latency identical to the reference
-   interpreter *)
-let check_block_deopt () =
-  let w = Workloads.Registry.find "hist" in
-  let harden = Elzar.Hardened Elzar.Harden_config.default in
-  let spec = Workloads.Workload.fi_spec w ~build:harden () in
-  let run_with cfg =
-    let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
-    spec.Fault.init m;
-    let r = Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry in
+let is_ender (it : Cpu.Code.citem) =
+  match it.Cpu.Code.op with
+  | Cpu.Code.Rcall _ | Cpu.Code.Rcall_ind _ | Cpu.Code.Tret _ | Cpu.Code.Tbr _
+  | Cpu.Code.Tcondbr _ | Cpu.Code.Tvbr _ | Cpu.Code.Tvbr_u _ | Cpu.Code.Tunreachable ->
+      true
+  | _ -> false
+
+(* Dynamic site numbers of an executed instance of the fused block whose
+   prefix holds the most sites of one stream ([mem] selects the memory
+   stream, else the register stream), taking its first instance that has
+   a site before it: a traced reference census run names every executed
+   instruction in order (up to the trace cap), and [m_blk]'s block table
+   says where fused prefixes start.  Returns the site count before the
+   block and the number of sites in its prefix. *)
+let block_window (spec : Fault.run_spec) (m_blk : Cpu.Machine.t) ~(mem : bool) : int * int =
+  let buf = Buffer.create 1_000_000 in
+  let cfg =
+    {
+      (cfg_with Cpu.Machine.Reference) with
+      Cpu.Machine.count_inject_sites = true;
+      trace = Some buf;
+      reexec_retries = spec.Fault.reexec_retries;
+    }
+  in
+  let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
+  spec.Fault.init m;
+  ignore (Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry : Cpu.Machine.result);
+  let code = m_blk.Cpu.Machine.code in
+  let is_site (cf : Cpu.Code.cfunc) (it : Cpu.Code.citem) =
+    let fl = it.Cpu.Code.flags in
+    if mem then cf.Cpu.Code.cf_hardened && fl land (Cpu.Code.fl_load lor Cpu.Code.fl_store) <> 0
+    else fl land Cpu.Code.fl_inject <> 0
+  in
+  let prefix_sites (cf : Cpu.Code.cfunc) s =
+    let blocks = m_blk.Cpu.Machine.kblocks.(cf.Cpu.Code.cf_id) in
+    let rec go pc acc =
+      if pc >= Array.length cf.Cpu.Code.code || is_ender cf.Cpu.Code.code.(pc)
+         || (pc > s && blocks.(pc) <> None)
+      then acc
+      else go (pc + 1) (if is_site cf cf.Cpu.Code.code.(pc) then acc + 1 else acc)
+    in
+    go s 0
+  in
+  let count = ref 0 and found = ref None in
+  List.iter
+    (fun line ->
+      if line <> "" then
+        Scanf.sscanf line "T%d %c@%[^+]+%d:" (fun _ _ name pc ->
+            let cf = code.Cpu.Code.cfuncs.(Hashtbl.find code.Cpu.Code.by_name name) in
+            (match m_blk.Cpu.Machine.kblocks.(cf.Cpu.Code.cf_id).(pc) with
+            | Some _ ->
+                let k = prefix_sites cf pc in
+                let best = match !found with Some (_, bk) -> bk | None -> 0 in
+                if !count > 0 && k > best then found := Some (!count, k)
+            | None -> ());
+            if is_site cf cf.Cpu.Code.code.(pc) then incr count))
+    (String.split_on_char '\n' (Buffer.contents buf));
+  match !found with
+  | Some w -> w
+  | None ->
+      Alcotest.failf "no fused block with a %s site in the trace"
+        (if mem then "memory" else "register")
+
+(* guarded fusion: an armed fault no longer changes which blocks fuse —
+   only the one block instance whose site window holds the armed site
+   runs per-instruction.  Sweeping the armed site across every site of
+   one fused block and its two neighbours, in the register and the
+   memory stream, must reproduce the reference interpreter exactly (site
+   streams, injected class, detection latency), for the default and the
+   future-AVX hardening (whose gather/scatter votes detect faults inside
+   fused blocks) and under re-execution recovery, whose rollbacks replay
+   the undo log of fused stores.  Default hardened blocks hold at most one memory site
+   (every access is followed by its check), so a synthetic loop whose
+   body makes four accesses sweeps a wider memory window too.  Finally a trap in the middle of a fused block must
+   leave the census site counts exact. *)
+let check_guarded_fusion () =
+  let open Ir in
+  let sweep ?second name (spec : Fault.run_spec) ~mem ~bit kinds =
+    let run_with cfg =
+      let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
+      spec.Fault.init m;
+      let r = Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry in
+      (m, r)
+    in
+    let plain_cfg =
+      { (cfg_with Cpu.Machine.Compiled) with
+        Cpu.Machine.reexec_retries = spec.Fault.reexec_retries }
+    in
+    let m_plain, _ = run_with plain_cfg in
+    let fused_plain = count_fused m_plain in
+    Alcotest.(check bool) (name ^ ": plain build fuses blocks") true (fused_plain > 0);
+    let base, k = block_window spec m_plain ~mem in
+    let detected = ref 0 in
+    List.iter
+      (fun kind ->
+        for at = base to base + k + 1 do
+          let name =
+            Printf.sprintf "%s %s@%d (block sites %d..%d)" name
+              (Cpu.Machine.fault_kind_to_string kind) at (base + 1) (base + k)
+          in
+          let inject = Some { Cpu.Machine.at; lane = 1; bit; second; kind } in
+          let bcfg = { plain_cfg with Cpu.Machine.inject } in
+          let m_blk, r_blk = run_with bcfg in
+          let _, r_ref = run_with { bcfg with Cpu.Machine.engine = Cpu.Machine.Reference } in
+          Alcotest.(check int) (name ^ ": same blocks fuse") fused_plain (count_fused m_blk);
+          Alcotest.(check bool)
+            (name ^ ": runs fused")
+            true
+            ((Cpu.Machine.exec_stats m_blk).Cpu.Machine.fused > 0);
+          Alcotest.(check bool) (name ^ ": fault fired") true r_ref.Cpu.Machine.fault_injected;
+          if r_ref.Cpu.Machine.detect_latency <> None then incr detected;
+          check_result name r_ref r_blk
+        done)
+      kinds;
+    !detected
+  in
+  List.iter
+    (fun (name, hcfg) ->
+      let hist =
+        Workloads.Workload.fi_spec (Workloads.Registry.find "hist")
+          ~build:(Elzar.Hardened hcfg) ()
+      in
+      let detected = sweep name hist ~mem:false ~bit:13 [ Cpu.Machine.Reg_flip ] in
+      Alcotest.(check bool) (name ^ " register sweep detects some fault") true (detected > 0);
+      ignore
+        (sweep name hist ~mem:true ~bit:13 [ Cpu.Machine.Mem_flip; Cpu.Machine.Addr_flip ]
+          : int))
+    [
+      ("hist", Elzar.Harden_config.default);
+      (* gathers/scatters vote inside fused blocks: detection latency is
+         recorded mid-block *)
+      ("hist/future-avx", { Elzar.Harden_config.default with future_avx = true });
+    ];
+  (* re-execution recovery: double flips leave a vote without majority,
+     so the thread rolls back over stores that fused blocks undo-logged *)
+  let reexec =
+    Workloads.Workload.fi_spec (Workloads.Registry.find "hist")
+      ~build:(Elzar.Hardened Elzar.Harden_config.reexec) ()
+  in
+  ignore
+    (sweep ~second:(2, 13) "hist/reexec" reexec ~mem:false ~bit:13 [ Cpu.Machine.Reg_flip ]
+      : int);
+  let md = Builder.create_module () in
+  Builder.global md "c0" 8;
+  Builder.global md "c1" 8;
+  let b, _ = Builder.func md "main" [ ("n", Types.i64) ] in
+  Builder.for_ b ~lo:(Builder.i64c 0) ~hi:(Builder.i64c 6) (fun i ->
+      let v = Builder.load b Types.i64 (Instr.Glob "c0") in
+      let w = Builder.load b Types.i64 (Instr.Glob "c1") in
+      Builder.store b (Builder.add b v i) (Instr.Glob "c0");
+      Builder.store b (Builder.add b w v) (Instr.Glob "c1"));
+  Builder.call0 b "output_i64" [ Builder.load b Types.i64 (Instr.Glob "c1") ];
+  Builder.ret b None;
+  Verifier.verify_exn md;
+  (* bit 40 sends a faulty address out of simulated memory: a trap, so
+     detection latency is exercised too *)
+  let detected =
+    sweep "loop" (Fault.make_spec md "main") ~mem:true ~bit:40
+      [ Cpu.Machine.Mem_flip; Cpu.Machine.Addr_flip ]
+  in
+  Alcotest.(check bool) "loop memory sweep detects some fault" true (detected > 0);
+  (* census with a trap mid-block: one straight-line hardened block whose
+     sixth instruction segfaults.  The trapping load's memory site counts
+     (its hook runs before the body), its register site does not (that
+     hook runs after), and nothing after it counts *)
+  let md = Builder.create_module () in
+  let b, ps = Builder.func md "main" [ ("n", Types.i64) ] in
+  let n = match ps with [ p ] -> Instr.Reg p | _ -> assert false in
+  let p = Builder.alloca b 64 in
+  let a = Builder.add b n (Builder.i64c 1) in
+  Builder.store b a p;
+  let c = Builder.load b Types.i64 p in
+  let d = Builder.add b c a in
+  let x = Builder.load b Types.i64 (Builder.ptrc 8) in
+  Builder.store b (Builder.add b d x) p;
+  Builder.ret b None;
+  Verifier.verify_exn md;
+  let census engine =
+    let cfg = { (cfg_with engine) with Cpu.Machine.count_inject_sites = true } in
+    let m = Cpu.Machine.create ~cfg md in
+    let r = Cpu.Machine.run ~args:[| 0L |] m "main" in
     (m, r)
   in
-  let plain_cfg = cfg_with Cpu.Machine.Compiled in
-  let m_plain, _ = run_with plain_cfg in
-  let fused_plain = count_fused m_plain in
-  Alcotest.(check bool) "plain build fuses blocks" true (fused_plain > 0);
-  List.iter
-    (fun (kind, at) ->
-      let name = Cpu.Machine.fault_kind_to_string kind in
-      let inject = Some { Cpu.Machine.at; lane = 1; bit = 13; second = None; kind } in
-      let bcfg = { plain_cfg with Cpu.Machine.inject } in
-      let m_blk, r_blk = run_with bcfg in
-      let _, r_ref = run_with { bcfg with Cpu.Machine.engine = Cpu.Machine.Reference } in
-      (* the armed kind's site instructions leave their blocks deoptimized *)
-      if kind <> Cpu.Machine.Branch_flip then
-        Alcotest.(check bool)
-          (name ^ ": armed sites deoptimize blocks")
-          true
-          (count_fused m_blk < fused_plain);
-      Alcotest.(check bool) (name ^ ": fault fired") true r_ref.Cpu.Machine.fault_injected;
-      check_result ("deopt " ^ name) r_ref r_blk)
-    [
-      (Cpu.Machine.Reg_flip, 5_000);
-      (Cpu.Machine.Mem_flip, 2_000);
-      (Cpu.Machine.Addr_flip, 3_000);
-      (Cpu.Machine.Branch_flip, 1_000);
-    ]
+  let _, r_ref = census Cpu.Machine.Reference in
+  let m_blk, r_blk = census Cpu.Machine.Compiled in
+  Alcotest.(check bool)
+    "mid-block trap is a segfault" true
+    (match r_ref.Cpu.Machine.trap with Some (Cpu.Machine.Segfault _) -> true | _ -> false);
+  Alcotest.(check int) "mid-block trap: inject_sites" 4 r_blk.Cpu.Machine.inject_sites;
+  Alcotest.(check int) "mid-block trap: mem_sites" 3 r_blk.Cpu.Machine.mem_sites;
+  let st = Cpu.Machine.exec_stats m_blk in
+  Alcotest.(check (pair int int))
+    "mid-block trap ran fused" (6, 0)
+    (st.Cpu.Machine.fused, st.Cpu.Machine.stepped);
+  check_result "census mid-block trap" r_ref r_blk
 
 (* supervision boundary discipline under the compiled engine: the abort hook
    is polled exactly once per scheduling quantum (not once per fused
@@ -356,7 +510,7 @@ let tests =
       Alcotest.test_case "snapshot resume (compiled)" `Quick
         (check_snapshot_resume Cpu.Machine.Compiled);
       Alcotest.test_case "campaign compiled+ff matches reference" `Quick check_campaign;
-      Alcotest.test_case "block deopt at armed fault sites" `Quick check_block_deopt;
+      Alcotest.test_case "guarded fusion at armed fault sites" `Quick check_guarded_fusion;
       Alcotest.test_case "block supervision quantum discipline" `Quick
         check_block_supervision;
       Alcotest.test_case "lazy compile patches each slot once" `Quick check_lazy_compile;

@@ -2,7 +2,8 @@
    rendering, round-trip through an independent parser), report schema and
    determinism (bit-identical campaign results for any worker count),
    progress/checkpoint accounting fixes (resumed-campaign ETA, unwritable
-   checkpoint paths), span coverage and the per-class profiling hook. *)
+   checkpoint paths), span coverage, the per-class profiling hook and the
+   execution-path diagnostics of the campaign and run "timing" sections. *)
 
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -196,6 +197,28 @@ let test_results_bit_identical_across_jobs () =
   check_str "1 vs 2 workers" r1 (render 2);
   check_str "1 vs 4 workers" r1 (render 4)
 
+(* the version-5 execution-path members of a "timing" section render
+   [p] exactly, with the fused share of the executed instructions *)
+let check_paths what (timing : J.t) (p : Cpu.Machine.exec_stats) =
+  let int_member name =
+    match member name timing with
+    | J.Int n -> n
+    | _ -> Alcotest.failf "%s timing.%s not an int" what name
+  in
+  Alcotest.(check (list int))
+    (what ^ ": fused/stepped/skipped")
+    [ p.Cpu.Machine.fused; p.Cpu.Machine.stepped; p.Cpu.Machine.skipped ]
+    (List.map int_member [ "instrs_fused"; "instrs_stepped"; "instrs_ff_skipped" ]);
+  let executed = p.Cpu.Machine.fused + p.Cpu.Machine.stepped in
+  match member "fused_fraction" timing with
+  | J.Float f ->
+      Alcotest.(check (float 1e-9))
+        (what ^ ": fused_fraction")
+        (float_of_int p.Cpu.Machine.fused /. float_of_int (max 1 executed))
+        f
+  | J.Int 0 when p.Cpu.Machine.fused = 0 -> ()
+  | _ -> Alcotest.failf "%s timing.fused_fraction not a number" what
+
 let test_campaign_schema () =
   let spec = spec () in
   let r = Campaign.single ~seed:3 ~n:12 ~jobs:2 spec in
@@ -216,6 +239,14 @@ let test_campaign_schema () =
   | J.List _ -> ()
   | _ -> Alcotest.fail "latency histogram missing");
   check_bool "jobs recorded" true (member "jobs" (member "timing" doc) = J.Int 2);
+  check_paths "campaign" (member "timing" doc) r.Campaign.paths;
+  (* execution paths depend on engine and fast-forward: diagnostics only *)
+  (match results with
+  | J.Obj ms -> check_bool "paths stay out of results" false (List.mem_assoc "instrs_fused" ms)
+  | _ -> Alcotest.fail "results not an object");
+  let p = r.Campaign.paths in
+  check_bool "campaign experiments run fused" true (p.Cpu.Machine.fused > 0);
+  check_bool "fast-forward skipped a prefix" true (p.Cpu.Machine.skipped > 0);
   match member "spans" doc with
   | J.List (_ :: _ as rows) ->
       List.iter
@@ -352,6 +383,36 @@ let test_profile_hook () =
       Alcotest.(check int) "json rows sum to total" instrs sum
   | _ -> Alcotest.fail "profile JSON not a list"
 
+(* run documents carry the same execution-path diagnostics: the compiled
+   engine runs most of a plain run fused, the reference engine none of it,
+   and the paths always add up to the retired instructions *)
+let test_run_paths () =
+  let w = Workloads.Registry.find "hist" in
+  List.iter
+    (fun engine ->
+      let name = Cpu.Machine.engine_to_string engine in
+      let machine_cfg = { Cpu.Machine.default_config with Cpu.Machine.engine } in
+      let r, p =
+        Workloads.Workload.execute_paths ~machine_cfg w
+          ~build:(Elzar.Hardened Elzar.Harden_config.default) ~nthreads:2
+          ~size:Workloads.Workload.Tiny
+      in
+      let doc = parse (J.to_string (Report.run_result ~paths:p r)) in
+      check_bool (name ^ ": schema") true (member "schema" doc = J.Str "elzar.run");
+      check_bool (name ^ ": version") true (member "version" doc = J.Int Report.version);
+      check_paths name (member "timing" doc) p;
+      Alcotest.(check int)
+        (name ^ ": paths cover the retired instructions")
+        r.Cpu.Machine.totals.Cpu.Counters.instrs
+        (p.Cpu.Machine.fused + p.Cpu.Machine.stepped);
+      Alcotest.(check int) (name ^ ": nothing skipped") 0 p.Cpu.Machine.skipped;
+      match engine with
+      | Cpu.Machine.Reference -> Alcotest.(check int) "reference fuses nothing" 0 p.Cpu.Machine.fused
+      | Cpu.Machine.Compiled ->
+          check_bool "compiled runs mostly fused" true
+            (2 * p.Cpu.Machine.fused > r.Cpu.Machine.totals.Cpu.Counters.instrs))
+    Cpu.Machine.engines
+
 let tests =
   [
     Alcotest.test_case "escaping" `Quick test_escaping;
@@ -366,4 +427,5 @@ let tests =
       test_resume_eta_uses_executed_rate;
     Alcotest.test_case "unwritable checkpoint" `Quick test_unwritable_checkpoint;
     Alcotest.test_case "profile hook" `Quick test_profile_hook;
+    Alcotest.test_case "run report execution paths" `Quick test_run_paths;
   ]
