@@ -24,7 +24,6 @@ let experiments =
     ("fig17", Fig17.run);
     ("ablate", Ablate.run);
     ("ext", Ext.run);
-    ("bechamel", Bechamel_suite.run);
   ]
 
 let usage () =
@@ -38,6 +37,7 @@ let usage () =
 let () =
   let selected = ref [] in
   let args = Array.to_list Sys.argv in
+  let int_arg n = match int_of_string_opt n with Some v -> v | None -> usage () in
   let rec parse = function
     | [] -> ()
     | "--size" :: s :: rest ->
@@ -55,10 +55,10 @@ let () =
            match List.find_opt named Cpu.Machine.engines with Some k -> k | None -> usage ());
         parse rest
     | "--injections" :: n :: rest ->
-        Common.fi_injections := int_of_string n;
+        Common.fi_injections := int_arg n;
         parse rest
     | "--fi-jobs" :: n :: rest ->
-        Common.fi_jobs := int_of_string n;
+        Common.fi_jobs := int_arg n;
         parse rest
     | "--fi-progress" :: rest ->
         Common.fi_progress := true;

@@ -225,9 +225,6 @@ type t = {
   mutable kblocks : fblock option array array;
       (** fused superblocks, indexed by [cf_id] then starting [pc];
           [Some] only at straight-line block starts *)
-  mutable snap_base : Bytes.t;
-      (** memory image at the first snapshot of this run; empty until
-          [snapshot] is first called *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;
@@ -303,7 +300,6 @@ let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t
     by_tid = [||];
     kcode = [||];
     kblocks = [||];
-    snap_base = Bytes.empty;
     nthreads = 0;
     output = Buffer.create 256;
     alloc_sizes = Hashtbl.create 64;
@@ -537,89 +533,94 @@ let exec_builtin (m : t) (th : thread) (fr : frame) (id : int) (args : int64 arr
   | "output_i64" | "output_f64" | "output_bytes" -> ck_invalidate_others m th
   | "rand64" -> ()
   | _ -> ck_invalidate th);
-  (match spec.Builtins.name with
-  | "malloc" ->
-      let size = Int64.to_int args.(0) in
-      let p = Memory.malloc m.mem size in
-      Hashtbl.replace m.alloc_sizes p size;
-      retv := p
-  | "free" -> (
-      match Hashtbl.find_opt m.alloc_sizes args.(0) with
-      | Some size ->
-          Hashtbl.remove m.alloc_sizes args.(0);
-          Memory.free m.mem args.(0) size
-      | None -> raise (Trap (Segfault args.(0))))
-  | "spawn" ->
-      let f = args.(0) in
-      let fid = Int64.to_int (Int64.sub f Code.fnptr_base) in
-      if f < Code.fnptr_base || fid >= Array.length m.code.Code.cfuncs then
-        raise (Trap (Bad_callee f));
-      let child =
-        spawn_thread m m.code.Code.cfuncs.(fid) [| args.(1) |]
-          ~start_cycle:(Timing.cycle th.timing)
-      in
-      retv := Int64.of_int child.tid
-  | "join" -> (
-      let tid = Int64.to_int args.(0) in
-      match find_thread m tid with
-      | Some target when target.status = Done -> Timing.sync_to th.timing target.final_cycle
-      | Some _ -> action := Bblock tid
-      | None -> raise (Trap (Bad_callee args.(0))))
-  | "lock" ->
-      let v = Memory.read m.mem ~width:8 args.(0) in
-      if v = 0L then Memory.write m.mem ~width:8 args.(0) 1L
-      else begin
-        (* spin: burn cycles and retry on the next scheduling round *)
-        Timing.advance th.timing 60;
-        action := Bretry
-      end
-  | "unlock" -> Memory.write m.mem ~width:8 args.(0) 0L
-  | "barrier" ->
-      (* pthread_barrier_wait: the cell holds the arrival count; the last
-         arriver resets it and releases everyone at its clock *)
-      let addr = args.(0) and n = args.(1) in
-      let count = Int64.add (Memory.read m.mem ~width:8 addr) 1L in
-      if count >= n then begin
-        Memory.write m.mem ~width:8 addr 0L;
-        let now = Timing.cycle th.timing in
-        List.iter
-          (fun other ->
-            match other.status with
-            | Waiting_barrier a when a = addr ->
-                other.status <- Running;
-                Timing.sync_to other.timing now
-            | _ -> ())
-          m.threads
-      end
-      else begin
-        Memory.write m.mem ~width:8 addr count;
-        action := Bbarrier addr
-      end
-  | "output_i64" | "output_f64" ->
-      Buffer.add_int64_le m.output args.(0)
-  | "output_bytes" ->
-      let p = args.(0) and len = Int64.to_int args.(1) in
-      Memory.check m.mem p (max len 1);
-      Buffer.add_subbytes m.output m.mem.Memory.data (Int64.to_int p) len
-  | "rand64" ->
-      (* xorshift64* over a state cell in simulated memory *)
-      let s = Memory.read m.mem ~width:8 args.(0) in
-      let s = if s = 0L then 0x9E3779B97F4A7C15L else s in
-      let s = Int64.logxor s (Int64.shift_left s 13) in
-      let s = Int64.logxor s (Int64.shift_right_logical s 7) in
-      let s = Int64.logxor s (Int64.shift_left s 17) in
-      ck_log_write m th ~width:8 args.(0);
-      Memory.write m.mem ~width:8 args.(0) s;
-      retv := Int64.mul s 0x2545F4914F6CDD1DL
-  | "abort" -> raise (Trap Aborted)
-  | "elzar_fatal" -> raise (Trap Elzar_fatal)
-  | "elzar_recovered" -> note_recovered m
-  | "elzar_retried" ->
-      m.retried <- m.retried + 1;
-      note_detect m
-  | "elzar_reexec" -> action := Breexec
-  | "thread_id" -> retv := Int64.of_int th.tid
-  | other -> failwith ("Machine.exec_builtin: unhandled builtin " ^ other));
+  (* a bad pointer argument traps like a bad load or store *)
+  (try
+     match spec.Builtins.name with
+     | "malloc" -> (
+         (* like libc, a request the heap cannot hold returns NULL *)
+         let size = Int64.to_int args.(0) in
+         match Memory.malloc m.mem size with
+         | p ->
+             Hashtbl.replace m.alloc_sizes p size;
+             retv := p
+         | exception Memory.Out_of_memory -> ())
+     | "free" -> (
+         match Hashtbl.find_opt m.alloc_sizes args.(0) with
+         | Some size ->
+             Hashtbl.remove m.alloc_sizes args.(0);
+             Memory.free m.mem args.(0) size
+         | None -> raise (Trap (Segfault args.(0))))
+     | "spawn" ->
+         let f = args.(0) in
+         let fid = Int64.to_int (Int64.sub f Code.fnptr_base) in
+         if f < Code.fnptr_base || fid >= Array.length m.code.Code.cfuncs then
+           raise (Trap (Bad_callee f));
+         let child =
+           spawn_thread m m.code.Code.cfuncs.(fid) [| args.(1) |]
+             ~start_cycle:(Timing.cycle th.timing)
+         in
+         retv := Int64.of_int child.tid
+     | "join" -> (
+         let tid = Int64.to_int args.(0) in
+         match find_thread m tid with
+         | Some target when target.status = Done -> Timing.sync_to th.timing target.final_cycle
+         | Some _ -> action := Bblock tid
+         | None -> raise (Trap (Bad_callee args.(0))))
+     | "lock" ->
+         let v = Memory.read m.mem ~width:8 args.(0) in
+         if v = 0L then Memory.write m.mem ~width:8 args.(0) 1L
+         else begin
+           (* spin: burn cycles and retry on the next scheduling round *)
+           Timing.advance th.timing 60;
+           action := Bretry
+         end
+     | "unlock" -> Memory.write m.mem ~width:8 args.(0) 0L
+     | "barrier" ->
+         (* pthread_barrier_wait: the cell holds the arrival count; the last
+            arriver resets it and releases everyone at its clock *)
+         let addr = args.(0) and n = args.(1) in
+         let count = Int64.add (Memory.read m.mem ~width:8 addr) 1L in
+         if count >= n then begin
+           Memory.write m.mem ~width:8 addr 0L;
+           let now = Timing.cycle th.timing in
+           List.iter
+             (fun other ->
+               match other.status with
+               | Waiting_barrier a when a = addr ->
+                   other.status <- Running;
+                   Timing.sync_to other.timing now
+               | _ -> ())
+             m.threads
+         end
+         else begin
+           Memory.write m.mem ~width:8 addr count;
+           action := Bbarrier addr
+         end
+     | "output_i64" | "output_f64" ->
+         Buffer.add_int64_le m.output args.(0)
+     | "output_bytes" ->
+         let p = args.(0) and len = Int64.to_int args.(1) in
+         Buffer.add_string m.output (Memory.read_bytes m.mem p len)
+     | "rand64" ->
+         (* xorshift64* over a state cell in simulated memory *)
+         let s = Memory.read m.mem ~width:8 args.(0) in
+         let s = if s = 0L then 0x9E3779B97F4A7C15L else s in
+         let s = Int64.logxor s (Int64.shift_left s 13) in
+         let s = Int64.logxor s (Int64.shift_right_logical s 7) in
+         let s = Int64.logxor s (Int64.shift_left s 17) in
+         ck_log_write m th ~width:8 args.(0);
+         Memory.write m.mem ~width:8 args.(0) s;
+         retv := Int64.mul s 0x2545F4914F6CDD1DL
+     | "abort" -> raise (Trap Aborted)
+     | "elzar_fatal" -> raise (Trap Elzar_fatal)
+     | "elzar_recovered" -> note_recovered m
+     | "elzar_retried" ->
+         m.retried <- m.retried + 1;
+         note_detect m
+     | "elzar_reexec" -> action := Breexec
+     | "thread_id" -> retv := Int64.of_int th.tid
+     | other -> failwith ("Machine.exec_builtin: unhandled builtin " ^ other)
+   with Memory.Fault a -> raise (Trap (Segfault a)));
   if !action = Bdone then begin
     Timing.advance th.timing spec.Builtins.cycles;
     if dst >= 0 then
@@ -2351,11 +2352,10 @@ let run ?(args = [||]) ?on_quantum (m : t) (entry : string) : result =
 
 (* A snapshot is a deep, self-contained copy of the architectural and
    micro-architectural state at a quantum boundary of a fault-free run.
-   Memory is captured copy-on-write style: the first snapshot copies the
-   whole image and turns on cumulative dirty-page journaling, later ones
-   store only the pages dirtied since that base — so a chain of snapshots
-   over a 64 MB address space costs one image plus the working set.
-   [Code.t] and undo-log spines are immutable and shared. *)
+   Memory is captured as the list of pages the run has stored to (every
+   other page is zero), so a snapshot of a 64 MB address space costs only
+   the working set.  [Code.t] and undo-log spines are immutable and
+   shared. *)
 
 type frame_snap = {
   f_cf : Code.cfunc;
@@ -2395,7 +2395,6 @@ type thread_snap = {
 
 type snapshot = {
   sn_code : Code.t;  (** immutable, shared with the source machine *)
-  sn_base : Bytes.t;
   sn_pages : (int * Bytes.t) array;
   sn_meta : Memory.meta;
   sn_threads : thread_snap list;  (** in [m.threads] order *)
@@ -2419,10 +2418,6 @@ let snapshot_instrs (sn : snapshot) = sn.sn_total_instrs
 
 let snapshot (m : t) : snapshot =
   if m.injected then invalid_arg "Machine.snapshot: fault already injected";
-  if Bytes.length m.snap_base = 0 then begin
-    m.snap_base <- Bytes.copy m.mem.Memory.data;
-    Memory.journal_start m.mem
-  end;
   let snap_thread (th : thread) : thread_snap =
     let frames =
       Array.of_list
@@ -2477,7 +2472,6 @@ let snapshot (m : t) : snapshot =
   in
   {
     sn_code = m.code;
-    sn_base = m.snap_base;
     sn_pages = Memory.journal_capture m.mem;
     sn_meta = Memory.meta m.mem;
     sn_threads = List.map snap_thread m.threads;
@@ -2500,27 +2494,8 @@ let rec list_drop n l = if n <= 0 then l else list_drop (n - 1) (List.tl l)
    Fault-site counters keep their snapshot values, so a plan drawn against
    the full golden run stays valid: site number k still fires at the same
    dynamic instruction. *)
-(* Per-domain memory pool for [restore ~reuse:true]: the last restored
-   run's memory, re-imaged in place (dirty pages reverted against the
-   shared base) instead of re-copying the whole image for every
-   experiment.  Keyed by physical identity of the base image, so a
-   snapshot chain from a different golden run falls back to a fresh
-   copy. *)
-let mem_pool : (Bytes.t * Memory.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let restore ?(cfg = default_config) ?(reuse = false) (sn : snapshot) : t =
-  let mem =
-    let pool = Domain.DLS.get mem_pool in
-    match !pool with
-    | Some (base, pm) when reuse && base == sn.sn_base ->
-        Memory.reimage pm ~base ~pages:sn.sn_pages sn.sn_meta;
-        pm
-    | _ ->
-        let fresh = Memory.of_image ~base:sn.sn_base ~pages:sn.sn_pages sn.sn_meta in
-        if reuse then pool := Some (sn.sn_base, fresh);
-        fresh
-  in
+let restore ?(cfg = default_config) (sn : snapshot) : t =
+  let mem = Memory.of_pages sn.sn_pages sn.sn_meta in
   let alloc_sizes = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace alloc_sizes k v) sn.sn_allocs;
   let reg_fire_at, mem_fire_at = fire_points cfg in
@@ -2532,7 +2507,6 @@ let restore ?(cfg = default_config) ?(reuse = false) (sn : snapshot) : t =
       by_tid = [||];
       kcode = [||];
       kblocks = [||];
-      snap_base = Bytes.empty;
       nthreads = sn.sn_nthreads;
       output = Buffer.create (String.length sn.sn_output + 256);
       alloc_sizes;

@@ -187,7 +187,6 @@ type t = {
       (** compiled code, by [cf_id] then pc; compiled on first call *)
   mutable kblocks : fblock option array array;
       (** fused superblocks, by [cf_id] then start pc; compiled on first entry *)
-  mutable snap_base : Bytes.t;  (** base memory image of the snapshot chain *)
   mutable nthreads : int;
   output : Buffer.t;
   alloc_sizes : (int64, int) Hashtbl.t;
@@ -273,9 +272,8 @@ val run : ?args:int64 array -> ?on_quantum:(t -> unit) -> t -> string -> result
 val resume : ?on_quantum:(t -> unit) -> t -> result
 
 (** Deep, self-contained copy of machine state at a quantum boundary of a
-    fault-free run.  Memory is captured copy-on-write style: the first
-    snapshot of a machine copies the image and starts cumulative
-    dirty-page journaling; later ones store only the delta. *)
+    fault-free run.  Memory is captured as the pages the run has stored
+    to ({!Memory.journal_capture}); every other page is zero. *)
 type snapshot
 
 (** @raise Invalid_argument if a fault was already injected (snapshots
@@ -292,13 +290,10 @@ val snapshot_instrs : snapshot -> int
 (** Rebuilds a runnable machine from a snapshot under [cfg] (typically a
     config arming an injection); continue it with {!resume}.  Site
     counters keep their snapshot values, so plans drawn against the full
-    golden run stay valid.  [reuse] (default [false]) recycles a
-    per-domain pooled memory: the previous [~reuse:true] machine restored
-    on this domain from the same snapshot chain is destructively
-    re-imaged (only its dirty pages are reverted) instead of copying the
-    whole image again — the caller must be done with that machine, which
-    is exactly the one-experiment-at-a-time pattern of campaigns. *)
-val restore : ?cfg:config -> ?reuse:bool -> snapshot -> t
+    golden run stay valid.  Its memory is fresh zero pages with the
+    snapshot's pages applied ({!Memory.of_pages}), so it shares nothing
+    mutable with the snapshot or with other restored machines. *)
+val restore : ?cfg:config -> snapshot -> t
 
 (** [create] + [run]. *)
 val run_module :

@@ -4,87 +4,148 @@
     subsystem is assumed ECC-protected and is outside the fault model,
     paper §III-A).  The first page is kept unmapped so that null and
     near-null dereferences trap, which the fault-injection campaign
-    classifies as OS-detected crashes. *)
+    classifies as OS-detected crashes.
+
+    The image is a private mapping of [/dev/zero], so the host supplies a
+    zero page on first touch and a machine pays only for the pages it
+    uses.  Every store marks its page in a dirty-page journal that is on
+    from [create]: every page outside the journal is still zero, so the
+    journaled pages alone are a complete image. *)
+
+type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  data : Bytes.t;
-  size : int;
+  data : bigstring;
   mutable static_brk : int;  (** globals region bump pointer *)
   mutable heap_base : int;
   mutable heap_limit : int;  (** heap may not grow past this *)
   mutable free_list : (int * int) list;  (** (addr, len), address-ordered *)
   mutable stack_top : int;
-  mutable journal : Bytes.t;
-      (** dirty-page bitset (one bit per page); length 0 = tracking off *)
+  journal : Bytes.t;  (** dirty-page bitset, one bit per page, never cleared *)
 }
 
 exception Fault of int64  (** access outside mapped memory *)
 
 let page = 4096
 let page_bits = 12
+let mem_size = 1 lsl 26
+let npages = mem_size lsr page_bits
 
-let create ?(size = 1 lsl 26) () =
+(* The bigstring primitives access memory in host byte order; simulated
+   memory is little-endian on every host. *)
+external get16 : bigstring -> int -> int = "%caml_bigstring_get16"
+external get32 : bigstring -> int -> int32 = "%caml_bigstring_get32"
+external get64 : bigstring -> int -> int64 = "%caml_bigstring_get64"
+external set16 : bigstring -> int -> int -> unit = "%caml_bigstring_set16"
+external set32 : bigstring -> int -> int32 -> unit = "%caml_bigstring_set32"
+external set64 : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* A mapping's size is invisible to the GC, which may otherwise leave
+   thousands of dropped 64 MiB mappings live in a loop that allocates
+   little else.  Counting live mappings and forcing a collection at a
+   fixed cap keeps the address space and fd use bounded. *)
+let live_mappings = Atomic.make 0
+let max_live_mappings = 64
+
+let map_zero () : bigstring =
+  if Atomic.get live_mappings >= max_live_mappings then Gc.full_major ();
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let data =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| mem_size |]))
+  in
+  Atomic.incr live_mappings;
+  Gc.finalise_last (fun () -> Atomic.decr live_mappings) data;
+  data
+
+let create () =
   {
-    data = Bytes.make size '\000';
-    size;
+    data = map_zero ();
     static_brk = page;
     heap_base = 0;
-    heap_limit = size;
+    heap_limit = mem_size;
     free_list = [];
-    stack_top = size;
-    journal = Bytes.empty;
+    stack_top = mem_size;
+    journal = Bytes.make ((npages + 7) / 8) '\000';
   }
 
+let size (_ : t) = mem_size
+let heap_limit (m : t) = m.heap_limit
 let align16 n = (n + 15) land lnot 15
 
-let check (m : t) (addr : int64) (w : int) =
+(* [a > mem_size - w], not [a + w > mem_size], which overflows for an
+   address near [max_int] *)
+let check (addr : int64) (w : int) =
   let a = Int64.to_int addr in
-  if addr < Int64.of_int page || a + w > m.size || a < 0 then raise (Fault addr)
+  if addr < Int64.of_int page || a > mem_size - w || a < 0 then raise (Fault addr)
 
 let read (m : t) ~(width : int) (addr : int64) : int64 =
-  check m addr width;
+  check addr width;
   let a = Int64.to_int addr in
   match width with
-  | 1 -> Int64.of_int (Bytes.get_uint8 m.data a)
-  | 2 -> Int64.of_int (Bytes.get_uint16_le m.data a)
-  | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le m.data a)) 0xFFFFFFFFL
-  | 8 -> Bytes.get_int64_le m.data a
+  | 1 -> Int64.of_int (Char.code (Bigarray.Array1.get m.data a))
+  | 2 ->
+      let v = get16 m.data a in
+      Int64.of_int (if Sys.big_endian then swap16 v else v)
+  | 4 ->
+      let v = get32 m.data a in
+      Int64.logand (Int64.of_int32 (if Sys.big_endian then swap32 v else v)) 0xFFFFFFFFL
+  | 8 ->
+      let v = get64 m.data a in
+      if Sys.big_endian then swap64 v else v
   | _ -> invalid_arg "Memory.read: bad width"
 
-(* Marks the page(s) overlapped by a write.  [check] has already bounded
-   the access, so the page indices are in range. *)
+(* Marks the pages overlapped by [a, a+w), w >= 1.  The caller has
+   already bounded the range, so the page indices are in range. *)
 let mark_dirty (m : t) (a : int) (w : int) =
-  let mark p = Bytes.set_uint8 m.journal (p lsr 3)
-      (Bytes.get_uint8 m.journal (p lsr 3) lor (1 lsl (p land 7))) in
-  let p0 = a lsr page_bits and p1 = (a + w - 1) lsr page_bits in
-  mark p0;
-  if p1 <> p0 then mark p1
+  for p = a lsr page_bits to (a + w - 1) lsr page_bits do
+    Bytes.set_uint8 m.journal (p lsr 3)
+      (Bytes.get_uint8 m.journal (p lsr 3) lor (1 lsl (p land 7)))
+  done
 
 let write (m : t) ~(width : int) (addr : int64) (v : int64) : unit =
-  check m addr width;
+  check addr width;
   let a = Int64.to_int addr in
-  if Bytes.length m.journal > 0 then mark_dirty m a width;
+  mark_dirty m a width;
   match width with
-  | 1 -> Bytes.set_uint8 m.data a (Int64.to_int v land 0xFF)
-  | 2 -> Bytes.set_uint16_le m.data a (Int64.to_int v land 0xFFFF)
-  | 4 -> Bytes.set_int32_le m.data a (Int64.to_int32 v)
-  | 8 -> Bytes.set_int64_le m.data a v
+  | 1 -> Bigarray.Array1.set m.data a (Char.unsafe_chr (Int64.to_int v land 0xFF))
+  | 2 ->
+      let v = Int64.to_int v land 0xFFFF in
+      set16 m.data a (if Sys.big_endian then swap16 v else v)
+  | 4 ->
+      let v = Int64.to_int32 v in
+      set32 m.data a (if Sys.big_endian then swap32 v else v)
+  | 8 -> set64 m.data a (if Sys.big_endian then swap64 v else v)
   | _ -> invalid_arg "Memory.write: bad width"
+
+(* [len] bytes at [addr]; even an empty read needs [addr] mapped. *)
+let read_bytes (m : t) (addr : int64) (len : int) : string =
+  check addr (max len 1);
+  if len < 0 then raise (Fault addr);
+  let a = Int64.to_int addr in
+  String.init len (fun i -> Bigarray.Array1.get m.data (a + i))
 
 (* ---- static data (globals), allocated once at load time ---- *)
 
 let alloc_static (m : t) (n : int) : int64 =
   let addr = m.static_brk in
   m.static_brk <- align16 (m.static_brk + n);
-  if m.static_brk >= m.size then failwith "Memory.alloc_static: out of memory";
+  if m.static_brk >= mem_size then failwith "Memory.alloc_static: out of memory";
   m.heap_base <- m.static_brk;
   Int64.of_int addr
 
 let blit_string (m : t) (s : string) (addr : int64) =
-  check m addr (String.length s);
-  if Bytes.length m.journal > 0 && String.length s > 0 then
-    mark_dirty m (Int64.to_int addr) (String.length s);
-  Bytes.blit_string s 0 m.data (Int64.to_int addr) (String.length s)
+  let len = String.length s in
+  check addr len;
+  let a = Int64.to_int addr in
+  if len > 0 then mark_dirty m a len;
+  String.iteri (fun i c -> Bigarray.Array1.set m.data (a + i) c) s
 
 (* ---- heap ---- *)
 
@@ -92,11 +153,13 @@ exception Out_of_memory
 
 let heap_init (m : t) ~(stack_reserve : int) =
   if m.heap_base = 0 then m.heap_base <- m.static_brk;
-  m.heap_limit <- m.size - stack_reserve;
+  m.heap_limit <- mem_size - stack_reserve;
   if m.heap_limit <= m.heap_base then failwith "Memory.heap_init: globals leave no heap";
   m.free_list <- [ (m.heap_base, m.heap_limit - m.heap_base) ]
 
 let malloc (m : t) (n : int) : int64 =
+  (* bounded before [align16], which would overflow near [max_int] *)
+  if n > m.heap_limit - m.heap_base then raise Out_of_memory;
   let n = align16 (max n 16) in
   let rec take acc = function
     | [] -> raise Out_of_memory
@@ -144,79 +207,36 @@ let meta (m : t) : meta =
     mt_stack_top = m.stack_top;
   }
 
-(* Starts copy-on-write-style page tracking: from here on, every simulated
-   store marks its page dirty.  The set is cumulative (never cleared), so
-   any later [journal_capture] is a self-contained delta against the image
-   taken at this point — dropping intermediate snapshots stays sound. *)
-let journal_start (m : t) =
-  m.journal <- Bytes.make ((m.size lsr page_bits) / 8 + 1) '\000'
-
-(* Copies of all pages dirtied since [journal_start], sorted by page. *)
+(* Copies of all journaled pages, sorted by page.  Both sides of the copy
+   are in host byte order, so the words need no swap. *)
 let journal_capture (m : t) : (int * Bytes.t) array =
   let pages = ref [] in
-  let npages = m.size lsr page_bits in
   for p = npages - 1 downto 0 do
-    if Bytes.get_uint8 m.journal (p lsr 3) land (1 lsl (p land 7)) <> 0 then
-      pages := (p, Bytes.sub m.data (p lsl page_bits) page) :: !pages
+    if Bytes.get_uint8 m.journal (p lsr 3) land (1 lsl (p land 7)) <> 0 then begin
+      let b = Bytes.create page and base = p lsl page_bits in
+      for i = 0 to (page / 8) - 1 do
+        Bytes.set_int64_ne b (i * 8) (get64 m.data (base + (i * 8)))
+      done;
+      pages := (p, b) :: !pages
+    end
   done;
   Array.of_list !pages
 
-let set_meta (m : t) (mt : meta) =
+(* Rebuilds a memory from fresh zero pages plus [pages], journaling them,
+   so that a capture of the result is again a complete image. *)
+let of_pages (pages : (int * Bytes.t) array) (mt : meta) : t =
+  let m = create () in
+  Array.iter
+    (fun (p, b) ->
+      let base = p lsl page_bits in
+      mark_dirty m base page;
+      for i = 0 to (page / 8) - 1 do
+        set64 m.data (base + (i * 8)) (Bytes.get_int64_ne b (i * 8))
+      done)
+    pages;
   m.static_brk <- mt.mt_static_brk;
   m.heap_base <- mt.mt_heap_base;
   m.heap_limit <- mt.mt_heap_limit;
   m.free_list <- mt.mt_free_list;
-  m.stack_top <- mt.mt_stack_top
-
-(* Applies a snapshot's page delta, marking the pages dirty: after this,
-   the journal is exactly the set of pages that may differ from [base],
-   which is what [reimage] needs to revert cheaply. *)
-let apply_pages (m : t) (pages : (int * Bytes.t) array) =
-  Array.iter
-    (fun (p, b) ->
-      mark_dirty m (p lsl page_bits) 1;
-      Bytes.blit b 0 m.data (p lsl page_bits) (Bytes.length b))
-    pages
-
-(* Rebuilds a memory from a base image plus a page delta.  Journaling is
-   left on in the clone so the pages the run dirties are known — that is
-   what makes [reimage] able to reuse this memory for the next run. *)
-let of_image ~(base : Bytes.t) ~(pages : (int * Bytes.t) array) (mt : meta) : t =
-  let m =
-    {
-      data = Bytes.copy base;
-      size = Bytes.length base;
-      static_brk = 0;
-      heap_base = 0;
-      heap_limit = 0;
-      free_list = [];
-      stack_top = 0;
-      journal = Bytes.empty;
-    }
-  in
-  journal_start m;
-  apply_pages m pages;
-  set_meta m mt;
+  m.stack_top <- mt.mt_stack_top;
   m
-
-(* Re-images a memory previously built by [of_image] from the same [base]
-   (caller checks identity) into a fresh base+delta state, without copying
-   the whole image: only the pages recorded dirty — the previous delta
-   plus everything the previous run stored to — are reverted.  This is the
-   per-experiment fast path of campaign fast-forward: the full-image copy
-   is paid once per (domain, golden run), not once per injection. *)
-let reimage (m : t) ~(base : Bytes.t) ~(pages : (int * Bytes.t) array) (mt : meta) : unit =
-  let npages = m.size lsr page_bits in
-  for byte = 0 to ((npages - 1) lsr 3) do
-    let bits = Bytes.get_uint8 m.journal byte in
-    if bits <> 0 then begin
-      for b = 0 to 7 do
-        let p = (byte lsl 3) + b in
-        if bits land (1 lsl b) <> 0 && p < npages then
-          Bytes.blit base (p lsl page_bits) m.data (p lsl page_bits) page
-      done;
-      Bytes.set_uint8 m.journal byte 0
-    end
-  done;
-  apply_pages m pages;
-  set_meta m mt

@@ -6,19 +6,14 @@
     (§III-A); the expanded taxonomy deliberately breaks that assumption:
     {!Machine}'s [Mem_flip] fault kind flips bits in this memory directly
     (bypassing any undo log), to measure what ELZAR's register-level
-    replication cannot catch. *)
+    replication cannot catch.
 
-type t = {
-  data : Bytes.t;
-  size : int;
-  mutable static_brk : int;
-  mutable heap_base : int;
-  mutable heap_limit : int;
-  mutable free_list : (int * int) list;
-  mutable stack_top : int;
-  mutable journal : Bytes.t;
-      (** dirty-page bitset for snapshot deltas; empty = tracking off *)
-}
+    A fresh memory reads zero everywhere and costs the host only the pages
+    that are stored to.  Stored-to pages are journaled from {!create} on,
+    so the journaled pages plus the allocator metadata are a complete
+    image: that page list is the one snapshot format. *)
+
+type t
 
 (** Access outside mapped memory. *)
 exception Fault of int64
@@ -26,17 +21,29 @@ exception Fault of int64
 exception Out_of_memory
 
 val page : int
-val create : ?size:int -> unit -> t
+
+(** A 64 MiB memory that reads zero everywhere. *)
+val create : unit -> t
+
+(** Bytes of address space, the unmapped first page included. *)
+val size : t -> int
+
+(** End of the heap: stacks live at and above it. *)
+val heap_limit : t -> int
+
 val align16 : int -> int
 
-(** @raise Fault when [addr, addr+w) is not mapped. *)
-val check : t -> int64 -> int -> unit
-
 (** [read m ~width addr] returns the value zero-extended to 64 bits;
-    [width] is 1, 2, 4 or 8. *)
+    [width] is 1, 2, 4 or 8.
+    @raise Fault when [addr, addr+width) is not mapped. *)
 val read : t -> width:int -> int64 -> int64
 
 val write : t -> width:int -> int64 -> int64 -> unit
+
+(** [read_bytes m addr len] is the [len] bytes at [addr].
+    @raise Fault when [len] is negative or [addr, addr+max len 1) is not
+    mapped. *)
+val read_bytes : t -> int64 -> int -> string
 
 (** Globals region, allocated once at load time. *)
 val alloc_static : t -> int -> int64
@@ -46,7 +53,10 @@ val blit_string : t -> string -> int64 -> unit
 (** Sets up the heap between the globals and the stack reserve. *)
 val heap_init : t -> stack_reserve:int -> unit
 
+(** First-fit allocation of at least [n] bytes, 16-byte aligned.
+    @raise Out_of_memory when no free chunk can hold [n] bytes. *)
 val malloc : t -> int -> int64
+
 val free : t -> int64 -> int -> unit
 val alloc_stack : t -> int -> int64
 
@@ -55,22 +65,11 @@ type meta
 
 val meta : t -> meta
 
-(** Starts cumulative dirty-page tracking (copy-on-write-style capture):
-    every subsequent store marks its page, and the set is never cleared, so
-    each later {!journal_capture} is a self-contained delta against the
-    memory image at this call. *)
-val journal_start : t -> unit
-
-(** Copies of all pages dirtied since {!journal_start}, sorted by page. *)
+(** Copies of every page stored to since {!create} (or applied by
+    {!of_pages}), sorted by page index.  Every other page is zero, so the
+    list is a complete image. *)
 val journal_capture : t -> (int * Bytes.t) array
 
-(** Rebuilds a memory from a base image plus a page delta.  Dirty-page
-    tracking stays on in the clone so {!reimage} can later reuse it. *)
-val of_image : base:Bytes.t -> pages:(int * Bytes.t) array -> meta -> t
-
-(** [reimage m ~base ~pages mt] resets a memory previously built by
-    {!of_image} from the very same [base] (physical identity — the caller
-    checks) to a fresh base+delta state, reverting only the pages known
-    dirty instead of re-copying the whole image.  The cheap path behind
-    per-experiment machine reuse in fault campaigns. *)
-val reimage : t -> base:Bytes.t -> pages:(int * Bytes.t) array -> meta -> unit
+(** [of_pages pages meta] is a fresh memory holding [pages] (as returned by
+    {!journal_capture}) over zero, with allocator state [meta]. *)
+val of_pages : (int * Bytes.t) array -> meta -> t

@@ -124,9 +124,9 @@ let initial_snapshot_spacing = 12_500
 (* Golden run that additionally captures machine snapshots at quantum
    boundaries, spaced by dynamic instruction count.  When the count would
    exceed [max_snapshots], every other snapshot is dropped and the spacing
-   doubles — sound because captures are cumulative deltas against the base
-   image (each one is self-contained), and cheap because dropped deltas
-   are just garbage-collected.  The returned array is oldest-first. *)
+   doubles — sound because each capture is a complete image (the pages
+   stored to so far; every other page is zero), and cheap because dropped
+   snapshots are just garbage-collected.  The returned array is oldest-first. *)
 let golden_capture ?spans (spec : run_spec) :
     Cpu.Machine.result * Cpu.Machine.snapshot array =
   let machine = Cpu.Machine.create ~cfg:(golden_cfg spec) ~flags_cmp:spec.flags_cmp spec.modul in
@@ -141,8 +141,8 @@ let golden_capture ?spans (spec : run_spec) :
     | Some r -> Obs.Span.time r "golden/snapshot" (fun () -> Cpu.Machine.snapshot m)
   in
   (* first capture at the very first quantum boundary: experiments whose
-     site falls before any later snapshot then still restore a pooled
-     memory instead of paying a from-scratch machine build *)
+     site falls before any later snapshot then still restore it instead
+     of rebuilding the machine (code layout, workload init) from scratch *)
   let next_at = ref 1 in
   let on_quantum (m : Cpu.Machine.t) =
     if m.Cpu.Machine.total_instrs >= !next_at then begin
@@ -252,14 +252,12 @@ let run_experiment_paths ?max_instrs ?spans ?abort ?chaos
     match pick_snapshot snapshots e with
     | None -> run_machine spec cfg
     | Some sn ->
-        (* ~reuse is sound here: each worker runs one experiment at a time
-           and drops the machine before the next restore *)
         let m =
           match spans with
-          | None -> Cpu.Machine.restore ~cfg ~reuse:true sn
+          | None -> Cpu.Machine.restore ~cfg sn
           | Some r ->
               Obs.Span.time r "exec/restore" (fun () ->
-                  Cpu.Machine.restore ~cfg ~reuse:true sn)
+                  Cpu.Machine.restore ~cfg sn)
         in
         (m, Cpu.Machine.resume m)
   in

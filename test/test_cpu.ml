@@ -177,7 +177,17 @@ let test_memory_null_faults () =
      with Memory.Fault _ -> true);
   check_bool "oob faults" true
     (try
-       ignore (Memory.read m ~width:8 (Int64.of_int (m.Memory.size - 4)));
+       ignore (Memory.read m ~width:8 (Int64.of_int (Memory.size m - 4)));
+       false
+     with Memory.Fault _ -> true);
+  check_bool "address near max_int faults" true
+    (try
+       ignore (Memory.read m ~width:8 (Int64.of_int (max_int - 3)));
+       false
+     with Memory.Fault _ -> true);
+  check_bool "huge byte read faults" true
+    (try
+       ignore (Memory.read_bytes m (Int64.of_int Memory.page) max_int);
        false
      with Memory.Fault _ -> true)
 
@@ -197,7 +207,87 @@ let test_stack_isolated_from_heap () =
   ignore (Memory.alloc_static m 64);
   Memory.heap_init m ~stack_reserve:8192;
   let s = Memory.alloc_stack m 4096 in
-  check_bool "stack above heap limit" true (Int64.to_int s >= m.Memory.heap_limit)
+  check_bool "stack above heap limit" true (Int64.to_int s >= Memory.heap_limit m)
+
+let test_malloc_too_large () =
+  let m = Memory.create () in
+  ignore (Memory.alloc_static m 64);
+  Memory.heap_init m ~stack_reserve:8192;
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "malloc %d is out of memory" n) true
+        (match Memory.malloc m n with _ -> false | exception Memory.Out_of_memory -> true))
+    [ 1 lsl 40; max_int - 3 ];
+  let p = Memory.malloc m 64 in
+  Memory.write m ~width:8 p 7L;
+  check_i64 "later small malloc works" 7L (Memory.read m ~width:8 p)
+
+let test_memory_fresh_is_zero () =
+  let m = Memory.create () in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun width ->
+          check_i64 (Printf.sprintf "zero at %d/%d" a width) 0L
+            (Memory.read m ~width (Int64.of_int a)))
+        [ 1; 2; 4; 8 ])
+    [ Memory.page; 123_456; Memory.size m / 2 + 3; Memory.size m - 8 ]
+
+let test_memory_page_image () =
+  let m = Memory.create () in
+  ignore (Memory.alloc_static m 64);
+  Memory.heap_init m ~stack_reserve:8192;
+  let at p off = Int64.of_int ((p * Memory.page) + off) in
+  Memory.write m ~width:8 (at 5 0) 0x1122334455667788L;
+  Memory.write m ~width:4 (at 100 40) 0xDEADBEEFL;
+  Memory.write m ~width:1 (at 16000 4095) 0x5AL;
+  Memory.write m ~width:8 (at 5 8) 42L;
+  let pages = Memory.journal_capture m in
+  Alcotest.(check (list int)) "exactly the stored-to pages" [ 5; 100; 16000 ]
+    (Array.to_list (Array.map fst pages));
+  let r = Memory.of_pages pages (Memory.meta m) in
+  List.iter
+    (fun (a, w) -> check_i64 "reads back" (Memory.read m ~width:w a) (Memory.read r ~width:w a))
+    [ (at 5 0, 8); (at 5 8, 8); (at 100 40, 4); (at 16000 4095, 1); (at 7 0, 8) ];
+  check_i64 "unjournaled page is zero" 0L (Memory.read r ~width:8 (at 6 0));
+  check_bool "rebuilt memory captures the same image" true (Memory.journal_capture r = pages);
+  check_bool "allocator state travels" true (Memory.malloc r 32 = Memory.malloc m 32)
+
+(* Dropped memories are host mappings the GC cannot size; [Memory.create]
+   bounds how many stay live (64), so a loop that allocates nothing else
+   must not accumulate address space or file descriptors. *)
+let test_memory_mappings_bounded () =
+  let status = "/proc/self/status" in
+  let vm_size_kb () =
+    In_channel.with_open_text status (fun ic ->
+        let rec go () =
+          match In_channel.input_line ic with
+          | None -> Alcotest.fail "no VmSize line"
+          | Some l when String.starts_with ~prefix:"VmSize:" l ->
+              Scanf.sscanf l "VmSize: %d kB" Fun.id
+          | Some _ -> go ()
+        in
+        go ())
+  in
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let procfs = Sys.file_exists status in
+  Gc.full_major ();
+  let fd0 = if procfs then fds () else 0 and vm0 = if procfs then vm_size_kb () else 0 in
+  let vm_max = ref vm0 in
+  for i = 1 to 1000 do
+    let m = Memory.create () in
+    for p = 1 to 3 do
+      Memory.write m ~width:8 (Int64.of_int (((p * 1000) + i) * Memory.page)) 1L
+    done;
+    if procfs && i mod 100 = 0 then vm_max := max !vm_max (vm_size_kb ())
+  done;
+  Gc.full_major ();
+  if procfs then begin
+    Alcotest.(check int) "fd count unchanged" fd0 (fds ());
+    let grown_kb = max !vm_max (vm_size_kb ()) - vm0 in
+    check_bool (Printf.sprintf "VmSize grew %d kB" grown_kb) true
+      (grown_kb <= (64 + 2) * 64 * 1024)
+  end
 
 let tests =
   [
@@ -222,4 +312,8 @@ let tests =
     Alcotest.test_case "memory: faults" `Quick test_memory_null_faults;
     Alcotest.test_case "memory: malloc/free" `Quick test_malloc_free_reuse;
     Alcotest.test_case "memory: stack isolation" `Quick test_stack_isolated_from_heap;
+    Alcotest.test_case "memory: oversized malloc" `Quick test_malloc_too_large;
+    Alcotest.test_case "memory: fresh reads zero" `Quick test_memory_fresh_is_zero;
+    Alcotest.test_case "memory: page-list image" `Quick test_memory_page_image;
+    Alcotest.test_case "memory: live mappings bounded" `Quick test_memory_mappings_bounded;
   ]

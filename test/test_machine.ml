@@ -12,12 +12,17 @@ let run_expect_trap mk (expected : Cpu.Machine.trap_reason -> bool) =
   mk b;
   Builder.ret b None;
   Verifier.verify_exn m;
-  let cfg = { Cpu.Machine.default_config with max_instrs = 100_000 } in
-  let r = Cpu.Machine.run_module ~cfg m "main" ~args:[| 0L |] in
-  match r.Cpu.Machine.trap with
-  | Some t when expected t -> ()
-  | Some t -> Alcotest.failf "unexpected trap: %s" (Cpu.Machine.string_of_trap t)
-  | None -> Alcotest.fail "expected a trap"
+  List.iter
+    (fun engine ->
+      let cfg = { Cpu.Machine.default_config with max_instrs = 100_000; engine } in
+      let r = Cpu.Machine.run_module ~cfg m "main" ~args:[| 0L |] in
+      let name = Cpu.Machine.engine_to_string engine in
+      match r.Cpu.Machine.trap with
+      | Some t when expected t -> ()
+      | Some t ->
+          Alcotest.failf "%s: unexpected trap: %s" name (Cpu.Machine.string_of_trap t)
+      | None -> Alcotest.failf "%s: expected a trap" name)
+    Cpu.Machine.engines
 
 let test_trap_null_deref () =
   run_expect_trap
@@ -40,6 +45,50 @@ let test_trap_abort () =
   run_expect_trap
     (fun b -> Builder.call0 b "abort" [])
     (function Cpu.Machine.Aborted -> true | _ -> false)
+
+let segfault_at a = function Cpu.Machine.Segfault x -> x = a | _ -> false
+
+(* Builtins that dereference a pointer argument trap on an unmapped one,
+   as a load or store through it would. *)
+let test_trap_builtin_bad_pointer () =
+  let open Builder in
+  List.iter
+    (fun mk -> run_expect_trap mk (segfault_at 8L))
+    [
+      (fun b -> call0 b "lock" [ ptrc 8 ]);
+      (fun b -> call0 b "unlock" [ ptrc 8 ]);
+      (fun b -> call0 b "barrier" [ ptrc 8; i64c 2 ]);
+      (fun b -> ignore (callv b ~ret:Types.i64 "rand64" [ ptrc 8 ]));
+      (fun b -> call0 b "output_bytes" [ ptrc 8; i64c 4 ]);
+    ];
+  (* the only global sits at the first mapped page *)
+  run_expect_trap
+    (fun b -> call0 b "output_bytes" [ Instr.Glob "g"; i64c (-1) ])
+    (segfault_at 4096L)
+
+(* Like libc, a malloc the heap cannot hold returns NULL, and the heap
+   stays usable. *)
+let test_malloc_too_large_returns_null () =
+  let m = Builder.create_module () in
+  let open Builder in
+  let b, _ = func m ~hardened:false "main" [ ("n", Types.i64) ] in
+  List.iter
+    (fun n -> call0 b "output_i64" [ callv b ~ret:Types.ptr "malloc" [ i64c n ] ])
+    [ 1 lsl 40; max_int - 3 ];
+  let p = callv b ~ret:Types.ptr "malloc" [ i64c 64 ] in
+  store b (i64c 9) p;
+  call0 b "output_i64" [ load b Types.i64 p ];
+  ret b None;
+  Verifier.verify_exn m;
+  List.iter
+    (fun engine ->
+      let cfg = { Cpu.Machine.default_config with engine } in
+      let r = Cpu.Machine.run_module ~cfg m "main" ~args:[| 0L |] in
+      check_bool "no trap" true (r.Cpu.Machine.trap = None);
+      let out = Bytes.of_string r.Cpu.Machine.output_bytes in
+      Alcotest.(check (list int64)) "NULL, NULL, then a usable block" [ 0L; 0L; 9L ]
+        (List.init 3 (fun i -> Bytes.get_int64_le out (8 * i))))
+    Cpu.Machine.engines
 
 let test_function_pointers_work () =
   let m = Builder.create_module () in
@@ -130,7 +179,9 @@ let tests =
     Alcotest.test_case "trap: division by zero" `Quick test_trap_div_zero;
     Alcotest.test_case "trap: bad callee" `Quick test_trap_bad_callee;
     Alcotest.test_case "trap: abort" `Quick test_trap_abort;
+    Alcotest.test_case "trap: builtin bad pointer" `Quick test_trap_builtin_bad_pointer;
     Alcotest.test_case "function pointers" `Quick test_function_pointers_work;
+    Alcotest.test_case "malloc too large is NULL" `Quick test_malloc_too_large_returns_null;
     Alcotest.test_case "malloc/free" `Quick test_malloc_free_roundtrip;
     Alcotest.test_case "instruction trace" `Quick test_trace_capture;
     Alcotest.test_case "alloca stack discipline" `Quick test_alloca_stack_discipline;
