@@ -17,7 +17,6 @@ type sample = {
   s_bench : string;
   s_flavour : string;
   s_engine : string;
-  s_mode : string;  (** "plain" or "census" (the campaign golden-run config) *)
   s_instrs : int;
   s_cycles : int;
   s_digest : string;
@@ -30,14 +29,12 @@ type sample = {
    benchmark isolates the interpretation rate itself; the compiled
    engine's translation happens inside (on first execution of each
    instruction and block) and is part of its cost. *)
-let time_run (w : Workloads.Workload.t) (f : Common.flavour) ~(census : bool)
-    (engine : Cpu.Machine.engine_kind) : int * int * string * float =
+let time_run (w : Workloads.Workload.t) (f : Common.flavour) (engine : Cpu.Machine.engine_kind) : int * int * string * float =
   let prepared = Common.prepared w f !Common.size in
   let cfg =
     {
       Cpu.Machine.default_config with
       Cpu.Machine.engine;
-      count_inject_sites = census;
       reexec_retries = Elzar.reexec_retries f.Common.build;
     }
   in
@@ -56,15 +53,14 @@ let time_run (w : Workloads.Workload.t) (f : Common.flavour) ~(census : bool)
     r.Cpu.Machine.output_digest,
     dt )
 
-let measure (w : Workloads.Workload.t) (f : Common.flavour) ~(census : bool)
+let measure (w : Workloads.Workload.t) (f : Common.flavour)
     (engine : Cpu.Machine.engine_kind) : sample =
-  ignore (time_run w f ~census engine);  (* warm-up: page in code paths and caches *)
-  let instrs, cycles, digest, dt = time_run w f ~census engine in
+  ignore (time_run w f engine);  (* warm-up: page in code paths and caches *)
+  let instrs, cycles, digest, dt = time_run w f engine in
   {
     s_bench = w.Workloads.Workload.name;
     s_flavour = f.Common.tag;
     s_engine = Cpu.Machine.engine_to_string engine;
-    s_mode = (if census then "census" else "plain");
     s_instrs = instrs;
     s_cycles = cycles;
     s_digest = digest;
@@ -78,26 +74,24 @@ let check_identity (a : sample) (b : sample) =
   then
     failwith
       (Printf.sprintf
-         "bench interp: %s/%s/%s: engines %s and %s diverge (instrs %d vs %d, cycles \
+         "bench interp: %s/%s: engines %s and %s diverge (instrs %d vs %d, cycles \
           %d vs %d, digests %s)"
-         a.s_bench a.s_flavour a.s_mode a.s_engine b.s_engine a.s_instrs b.s_instrs
+         a.s_bench a.s_flavour a.s_engine b.s_engine a.s_instrs b.s_instrs
          a.s_cycles b.s_cycles
          (if a.s_digest = b.s_digest then "equal" else "differ"))
 
 (* The versioned document (schema "elzar.bench.interp") goes through the
    same report pipeline as campaigns and CLI runs.  [compiled_speedup] is
-   compiled over reference per flavour/mode; [gmean_speedup] summarizes
-   the pair over the plain-mode cells (census cells fuse too, with their
-   site counts bulk-added per block, but are summarized separately). *)
+   compiled over reference per flavour; [gmean_speedup] summarizes the
+   pair over every cell. *)
 let emit_json path (samples : sample list) (speedups : (string * float) list)
-    (plain_gmean : float) =
+    (gmean : float) =
   let sample_json s =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str s.s_bench);
         ("flavour", Obs.Json.Str s.s_flavour);
         ("engine", Obs.Json.Str s.s_engine);
-        ("mode", Obs.Json.Str s.s_mode);
         ("instrs", Obs.Json.Int s.s_instrs);
         ("cycles", Obs.Json.Int s.s_cycles);
         ("seconds", Obs.Json.Float s.s_seconds);
@@ -112,44 +106,41 @@ let emit_json path (samples : sample list) (speedups : (string * float) list)
          ( "compiled_speedup",
            Obs.Json.Obj (List.map (fun (tag, x) -> (tag, Obs.Json.Float x)) speedups) );
          ( "gmean_speedup",
-           Obs.Json.Obj [ ("compiled_over_reference", Obs.Json.Float plain_gmean) ] );
+           Obs.Json.Obj [ ("compiled_over_reference", Obs.Json.Float gmean) ] );
        ])
 
 let run () =
   Common.heading "Interpreter MIPS: reference vs compiled engine";
-  Printf.printf "%-10s %-14s %-7s %9s %9s %9s\n" "bench" "flavour" "mode" "ref MIPS"
-    "comp MIPS" "comp/ref";
+  Printf.printf "%-10s %-14s %9s %9s %9s\n" "bench" "flavour" "ref MIPS" "comp MIPS"
+    "comp/ref";
   let samples = ref [] in
   let speedups = ref [] in
-  let plain = ref [] in
+  let all = ref [] in
   List.iter
     (fun f ->
+      let per_flavour = ref [] in
       List.iter
-        (fun census ->
-          let per_mode = ref [] in
-          List.iter
-            (fun name ->
-              let w = Workloads.Registry.find name in
-              let sr = measure w f ~census Cpu.Machine.Reference in
-              let sc = measure w f ~census Cpu.Machine.Compiled in
-              check_identity sr sc;
-              samples := !samples @ [ sr; sc ];
-              let x = sc.s_mips /. sr.s_mips in
-              per_mode := x :: !per_mode;
-              if not census then plain := x :: !plain;
-              Printf.printf "%-10s %-14s %-7s %9.2f %9.2f %8.2fx\n" name f.Common.tag
-                sr.s_mode sr.s_mips sc.s_mips x)
-            benchmarks;
-          let cell = f.Common.tag ^ "/" ^ if census then "census" else "plain" in
-          speedups := !speedups @ [ (cell, Common.gmean !per_mode) ];
-          Printf.printf "  %-30s gmean compiled/ref %.2fx\n" cell (Common.gmean !per_mode))
-        [ false; true ])
+        (fun name ->
+          let w = Workloads.Registry.find name in
+          let sr = measure w f Cpu.Machine.Reference in
+          let sc = measure w f Cpu.Machine.Compiled in
+          check_identity sr sc;
+          samples := !samples @ [ sr; sc ];
+          let x = sc.s_mips /. sr.s_mips in
+          per_flavour := x :: !per_flavour;
+          all := x :: !all;
+          Printf.printf "%-10s %-14s %9.2f %9.2f %8.2fx\n" name f.Common.tag sr.s_mips
+            sc.s_mips x)
+        benchmarks;
+      speedups := !speedups @ [ (f.Common.tag, Common.gmean !per_flavour) ];
+      Printf.printf "  %-30s gmean compiled/ref %.2fx\n" f.Common.tag
+        (Common.gmean !per_flavour))
     flavours;
-  let plain_gmean = Common.gmean !plain in
+  let gmean = Common.gmean !all in
   Printf.printf "identity: all %d cells bit-identical across both engines\n"
     (List.length !samples / 2);
-  Printf.printf "compiled_over_reference gmean speedup (plain) %.2fx\n" plain_gmean;
+  Printf.printf "compiled_over_reference gmean speedup %.2fx\n" gmean;
   if !Common.json_reports then begin
-    emit_json "BENCH_interp.json" !samples !speedups plain_gmean;
+    emit_json "BENCH_interp.json" !samples !speedups gmean;
     Printf.printf "wrote BENCH_interp.json\n"
   end

@@ -51,12 +51,17 @@ type rinstr =
   | Tvbr_u of rop * int * int
   | Tunreachable
 
-(* flag bits *)
+(* flag bits.  The last three mark the fault-site streams, a property of
+   the code that every run counts: [fl_inject] a register site (a hardened
+   instruction with a destination), [fl_mem_site] a hardened load or
+   store, [fl_br_site] a hardened conditional branch. *)
 let fl_load = 1
 let fl_store = 2
 let fl_branch = 4
 let fl_avx = 8
 let fl_inject = 16
+let fl_mem_site = 32
+let fl_br_site = 64
 
 type citem = {
   op : rinstr;
@@ -232,10 +237,12 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
             | Some r -> (offs.(r.rid), lanes.(r.rid))
             | None -> (-1, 0)
           in
+          let hardened = f.Instr.hardened in
           let flags =
             extra
             lor (if Cost.is_avx i then fl_avx else 0)
-            lor if f.Instr.hardened && dst >= 0 then fl_inject else 0
+            lor (if hardened && dst >= 0 then fl_inject else 0)
+            lor if hardened && extra land (fl_load lor fl_store) <> 0 then fl_mem_site else 0
           in
           let uops = Cost.of_instr i in
           emit
@@ -260,7 +267,9 @@ let compile_func ~(debug : bool) ~(flags_cmp : bool) ~(fids : (string, int) Hash
       in
       let flags =
         match b.term with
-        | Instr.Br _ | Instr.Cond_br _ | Instr.Vbr _ | Instr.Vbr_unchecked _ -> fl_branch
+        | Instr.Br _ -> fl_branch
+        | Instr.Cond_br _ | Instr.Vbr _ | Instr.Vbr_unchecked _ ->
+            fl_branch lor if f.Instr.hardened then fl_br_site else 0
         | Instr.Ret _ | Instr.Unreachable -> 0
       in
       let uops = Cost.of_term ~flags_cmp b.term in

@@ -153,8 +153,6 @@ exception Abort
 type config = {
   max_instrs : int;
   inject : inject option;
-  count_inject_sites : bool;
-  stack_size : int;
   reexec_retries : int;
       (** re-execution recovery budget: >0 checkpoints each outermost
           hardened call (registers, stack pointer, a memory undo log) so
@@ -187,8 +185,6 @@ let default_config =
   {
     max_instrs = 400_000_000;
     inject = None;
-    count_inject_sites = false;
-    stack_size = 1 lsl 17;
     reexec_retries = 0;
     trace = None;
     engine = Compiled;
@@ -197,13 +193,15 @@ let default_config =
     chaos = None;
   }
 
+(* Per-thread stack size in bytes. *)
+let stack_size = 1 lsl 17
+
 (* One fused superblock: [fb_len] dynamic instructions (a hook-free
    straight-line prefix, plus the trailing ender when the run ends in a
    control transfer) executed by one closure with the per-instruction
    closures' return protocol, compiled on first entry.  [fb_sites] and
-   [fb_msites] count the register and memory fault sites of the prefix
-   that this config's site streams count — the window the run-time guard
-   checks against the armed site. *)
+   [fb_msites] count the register and memory fault sites of the prefix —
+   the window the run-time guard checks against the armed site. *)
 type fblock = {
   fb_len : int;
   fb_sites : int;
@@ -245,6 +243,7 @@ type t = {
   mutable inject_class : string;  (** instruction class at the injection site *)
   reg_fire_at : int;  (** [inj_count] value that fires the armed fault; [max_int] if none *)
   mem_fire_at : int;  (** [mem_count] value that fires the armed fault; [max_int] if none *)
+  br_fire_at : int;  (** [br_count] value that fires the armed fault; [max_int] if none *)
   mutable blk_left : int;
       (** prefix steps after the current one in the running fused block,
           whose [total_instrs] is already bulk-added; 0 outside blocks *)
@@ -260,14 +259,16 @@ let exec_stats (m : t) : exec_stats =
   let executed = m.total_instrs - m.start_instrs in
   { fused = m.fused_instrs; stepped = executed - m.fused_instrs; skipped = m.start_instrs }
 
-(* Site-counter values at which [cfg]'s armed fault fires, as
-   (register stream, memory stream); [max_int] for a stream that cannot
-   fire.  Branch sites are block enders and need no fire point. *)
-let fire_points (cfg : config) : int * int =
+(* Site-counter values at which [cfg]'s armed fault fires, as (register
+   stream, memory stream, branch stream); [max_int] for a stream that
+   cannot fire.  Every run counts all three streams, so a site fires
+   exactly when its stream's counter reaches its fire point. *)
+let fire_points (cfg : config) : int * int * int =
   match cfg.inject with
-  | Some { kind = Reg_flip; at; _ } -> (at, max_int)
-  | Some { kind = Mem_flip | Addr_flip; at; _ } -> (max_int, at)
-  | Some { kind = Branch_flip; _ } | None -> (max_int, max_int)
+  | Some { kind = Reg_flip; at; _ } -> (at, max_int, max_int)
+  | Some { kind = Mem_flip | Addr_flip; at; _ } -> (max_int, at, max_int)
+  | Some { kind = Branch_flip; at; _ } -> (max_int, max_int, at)
+  | None -> (max_int, max_int, max_int)
 
 type result = {
   wall_cycles : int;
@@ -292,7 +293,7 @@ type result = {
 let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t =
   let mem = Memory.create () in
   let code = Code.compile ~debug:(cfg.trace <> None) ~flags_cmp m mem in
-  let reg_fire_at, mem_fire_at = fire_points cfg in
+  let reg_fire_at, mem_fire_at, br_fire_at = fire_points cfg in
   {
     code;
     mem;
@@ -320,6 +321,7 @@ let create ?(cfg = default_config) ?(flags_cmp = false) (m : Ir.Instr.modul) : t
     inject_class = "";
     reg_fire_at;
     mem_fire_at;
+    br_fire_at;
     blk_left = 0;
     fused_instrs = 0;
     start_instrs = 0;
@@ -356,8 +358,8 @@ let new_frame (cf : Code.cfunc) ~ret_off ~sp : frame =
   }
 
 let spawn_thread (m : t) (cf : Code.cfunc) (args : int64 array) ~(start_cycle : int) : thread =
-  let stack_base = Memory.alloc_stack m.mem m.cfg.stack_size in
-  let sp = Int64.add stack_base (Int64.of_int m.cfg.stack_size) in
+  let stack_base = Memory.alloc_stack m.mem stack_size in
+  let sp = Int64.add stack_base (Int64.of_int stack_size) in
   let fr = new_frame cf ~ret_off:(-1) ~sp in
   Array.iteri
     (fun i v ->
@@ -456,6 +458,34 @@ let note_recovered (m : t) =
   m.recovered <- m.recovered + 1;
   note_detect m
 
+(* Fires the armed fault at a memory site, before the access runs: an
+   address fault arms the XOR mask the access applies to its address, a
+   memory fault arms the bit flip the access applies after itself. *)
+let fire_mem (m : t) =
+  match m.cfg.inject with
+  | Some { kind = Addr_flip; bit; _ } -> m.addr_mask <- Int64.shift_left 1L (bit land 63)
+  | _ -> m.mem_flip_armed <- true
+
+(* Fires the armed register SEU at a register site, after the instruction
+   of class [cls] ran: flips the armed bit(s) of its destination [dst]
+   ([dlanes] lanes) in [fr], the frame it executed in. *)
+let fire_reg (m : t) (fr : frame) ~(dst : int) ~(dlanes : int) (cls : string) =
+  match m.cfg.inject with
+  | Some inj ->
+      let dlanes = max dlanes 1 in
+      let flip lane bit =
+        let off = dst + (lane mod dlanes) in
+        fr.regs.(off) <- Int64.logxor fr.regs.(off) (Int64.shift_left 1L (bit land 63))
+      in
+      flip inj.lane inj.bit;
+      (match inj.second with
+      | Some (l, b) ->
+          let l, b = second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b in
+          flip l b
+      | None -> ());
+      mark_injected m cls
+  | None -> ()
+
 (* ---- re-execution checkpoints ---- *)
 
 let ck_invalidate (th : thread) =
@@ -549,7 +579,9 @@ let exec_builtin (m : t) (th : thread) (fr : frame) (id : int) (args : int64 arr
          | Some size ->
              Hashtbl.remove m.alloc_sizes args.(0);
              Memory.free m.mem args.(0) size
-         | None -> raise (Trap (Segfault args.(0))))
+         | None ->
+             (* like libc, free(NULL) does nothing *)
+             if args.(0) <> 0L then raise (Trap (Segfault args.(0))))
      | "spawn" ->
          let f = args.(0) in
          let fid = Int64.to_int (Int64.sub f Code.fnptr_base) in
@@ -727,35 +759,14 @@ let step (m : t) (th : thread) : bool =
      inside hardened code each form their own deterministic site counter;
      arming happens *before* the instruction executes so the fault applies
      to this very access/branch. *)
-  let is_mem_site =
-    fr.cf.Code.cf_hardened && fl land (Code.fl_load lor Code.fl_store) <> 0
-  in
-  let is_br_site =
-    fr.cf.Code.cf_hardened
-    && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
-  in
-  (match m.cfg.inject with
-  | Some inj -> (
-      match inj.kind with
-      | Reg_flip -> ()
-      | Mem_flip | Addr_flip ->
-          if is_mem_site then begin
-            m.mem_count <- m.mem_count + 1;
-            if m.mem_count = inj.at then
-              if inj.kind = Addr_flip then
-                m.addr_mask <- Int64.shift_left 1L (inj.bit land 63)
-              else m.mem_flip_armed <- true
-          end
-      | Branch_flip ->
-          if is_br_site then begin
-            m.br_count <- m.br_count + 1;
-            if m.br_count = inj.at then m.cf_divert <- true
-          end)
-  | None ->
-      if m.cfg.count_inject_sites then begin
-        if is_mem_site then m.mem_count <- m.mem_count + 1;
-        if is_br_site then m.br_count <- m.br_count + 1
-      end);
+  if fl land Code.fl_mem_site <> 0 then begin
+    m.mem_count <- m.mem_count + 1;
+    if m.mem_count = m.mem_fire_at then fire_mem m
+  end;
+  if fl land Code.fl_br_site <> 0 then begin
+    m.br_count <- m.br_count + 1;
+    if m.br_count = m.br_fire_at then m.cf_divert <- true
+  end;
   (* input readiness *)
   let ready = ref 0 in
   Array.iter
@@ -1139,30 +1150,13 @@ let step (m : t) (th : thread) : bool =
             Timing.mispredict th.timing ~resolved:completion
           end
       | None -> ()));
-  (* fault injection (register-SEU stream; the other fault kinds are armed
-     before the instruction executes, above) *)
-  (if fl land Code.fl_inject <> 0 then
-     match m.cfg.inject with
-     | Some inj when inj.kind = Reg_flip ->
-         m.inj_count <- m.inj_count + 1;
-         if m.inj_count = inj.at then begin
-           let dlanes = max it.Code.dlanes 1 in
-           let flip lane bit =
-             let off = it.Code.dst + (lane mod dlanes) in
-             fr.regs.(off) <- Int64.logxor fr.regs.(off) (Int64.shift_left 1L (bit land 63))
-           in
-           flip inj.lane inj.bit;
-           (match inj.second with
-           | Some (l, b) ->
-               let l, b =
-                 second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b
-               in
-               flip l b
-           | None -> ());
-           mark_injected m (class_of it.Code.op)
-         end
-     | Some _ -> ()
-     | None -> if m.cfg.count_inject_sites then m.inj_count <- m.inj_count + 1);
+  (* register-SEU stream (the other fault kinds are armed before the
+     instruction executes, above) *)
+  if fl land Code.fl_inject <> 0 then begin
+    m.inj_count <- m.inj_count + 1;
+    if m.inj_count = m.reg_fire_at then
+      fire_reg m fr ~dst:it.Code.dst ~dlanes:it.Code.dlanes (class_of it.Code.op)
+  end;
   if !next_pc >= 0 then fr.pc <- !next_pc;
   !continue_ && th.status = Running
 
@@ -1777,22 +1771,6 @@ let compile_body (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem)
           if taken then t else e
     | Code.Tunreachable -> fun _ _ _ -> raise (Trap Unreachable_executed)
 
-(* Whether [it] advances the register / memory fault-site stream under
-   [cfg] (the armed kind's stream, or every stream under site census):
-   the one definition behind [compile_item]'s [reg_hook]/[site_hook] and
-   a fused block's bulk site counts. *)
-let reg_site (cfg : config) (it : Code.citem) : bool =
-  it.Code.flags land Code.fl_inject <> 0
-  && match cfg.inject with Some inj -> inj.kind = Reg_flip | None -> cfg.count_inject_sites
-
-let mem_site (cfg : config) ~(hardened : bool) (it : Code.citem) : bool =
-  hardened
-  && it.Code.flags land (Code.fl_load lor Code.fl_store) <> 0
-  &&
-  match cfg.inject with
-  | Some inj -> inj.kind = Mem_flip || inj.kind = Addr_flip
-  | None -> cfg.count_inject_sites
-
 (* Compiles one instruction into its per-instruction closure (the
    deoptimization path of fused blocks): [compile_body]
    with this config's hook flags and a [Timing.exec] epilogue, wrapped in
@@ -1810,11 +1788,10 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
   let is_load = fl land Code.fl_load <> 0 in
   let is_store = fl land Code.fl_store <> 0 in
   let is_branch = fl land Code.fl_branch <> 0 in
-  let hardened = cf.Code.cf_hardened in
-  let is_br_site =
-    hardened
-    && match it.Code.op with Code.Tcondbr _ | Code.Tvbr _ | Code.Tvbr_u _ -> true | _ -> false
-  in
+  let mem_stream = fl land Code.fl_mem_site <> 0 in
+  let br_stream = fl land Code.fl_br_site <> 0 in
+  let reg_stream = fl land Code.fl_inject <> 0 in
+  let dlanes = it.Code.dlanes in
   let reexec_on = cfg.reexec_retries > 0 in
   let addr_faults = match cfg.inject with Some i -> i.kind = Addr_flip | None -> false in
   let mem_faults = match cfg.inject with Some i -> i.kind = Mem_flip | None -> false in
@@ -1829,67 +1806,11 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     compile_body m cf pc it ~addr_faults ~mem_faults ~cf_faults ~reexec_on
       ~finish_plain
   in
-  (* per-instruction fault-site streams, compiled to hooks (or to nothing) *)
-  let site_hook : (unit -> unit) option =
-    if mem_site cfg ~hardened it then
-      match cfg.inject with
-      | Some ({ kind = Addr_flip; _ } as inj) ->
-          let bmask = Int64.shift_left 1L (inj.bit land 63) in
-          Some
-            (fun () ->
-              m.mem_count <- m.mem_count + 1;
-              if m.mem_count = inj.at then m.addr_mask <- bmask)
-      | Some inj ->
-          Some
-            (fun () ->
-              m.mem_count <- m.mem_count + 1;
-              if m.mem_count = inj.at then m.mem_flip_armed <- true)
-      | None -> Some (fun () -> m.mem_count <- m.mem_count + 1)
-    else if is_br_site then
-      match cfg.inject with
-      | Some ({ kind = Branch_flip; _ } as inj) ->
-          Some
-            (fun () ->
-              m.br_count <- m.br_count + 1;
-              if m.br_count = inj.at then m.cf_divert <- true)
-      | Some _ -> None
-      | None -> if cfg.count_inject_sites then Some (fun () -> m.br_count <- m.br_count + 1) else None
-    else None
-  in
-  (* register-SEU stream: applied to the (caller) frame after the op body,
-     exactly like [step]'s epilogue *)
-  let reg_hook : (frame -> unit) option =
-    if not (reg_site cfg it) then None
-    else
-      match cfg.inject with
-      | Some inj ->
-          let dlanes = max it.Code.dlanes 1 in
-          Some
-            (fun fr ->
-              m.inj_count <- m.inj_count + 1;
-              if m.inj_count = inj.at then begin
-                let flip lane bit =
-                  let off = dst + (lane mod dlanes) in
-                  fr.regs.(off) <-
-                    Int64.logxor fr.regs.(off) (Int64.shift_left 1L (bit land 63))
-                in
-                flip inj.lane inj.bit;
-                (match inj.second with
-                | Some (l, b) ->
-                    let l, b =
-                      second_flip ~dlanes ~lane:inj.lane ~bit:inj.bit ~lane2:l ~bit2:b
-                    in
-                    flip l b
-                | None -> ());
-                mark_injected m cls
-              end)
-      | None -> Some (fun _ -> m.inj_count <- m.inj_count + 1)
-  in
   let trace_hook : (thread -> unit) option =
     match cfg.trace with
     | Some buf when Array.length cf.Code.texts > pc ->
         let text = cf.Code.texts.(pc) in
-        let tag = if hardened then 'H' else '.' in
+        let tag = if cf.Code.cf_hardened then 'H' else '.' in
         let name = cf.Code.cf_name in
         Some
           (fun th ->
@@ -1909,13 +1830,23 @@ let compile_item (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
     if is_load then ctr.Counters.loads <- ctr.Counters.loads + 1;
     if is_store then ctr.Counters.stores <- ctr.Counters.stores + 1;
     if is_branch then ctr.Counters.branches <- ctr.Counters.branches + 1;
-    (match site_hook with None -> () | Some h -> h ());
-    match reg_hook with
-    | None -> body th fr (ready_of fr)
-    | Some h ->
-        let r = body th fr (ready_of fr) in
-        h fr;
-        r
+    (* fault-site streams, in [step]'s order: memory and branch sites arm
+       before the body, the register SEU hits the (caller) frame after it *)
+    if mem_stream then begin
+      m.mem_count <- m.mem_count + 1;
+      if m.mem_count = m.mem_fire_at then fire_mem m
+    end;
+    if br_stream then begin
+      m.br_count <- m.br_count + 1;
+      if m.br_count = m.br_fire_at then m.cf_divert <- true
+    end;
+    if reg_stream then begin
+      let r = body th fr (ready_of fr) in
+      m.inj_count <- m.inj_count + 1;
+      if m.inj_count = m.reg_fire_at then fire_reg m fr ~dst ~dlanes cls;
+      r
+    end
+    else body th fr (ready_of fr)
   in
   (* per-class cycle attribution, like the other hooks compiled in only
      when enabled: with [profile = None] the closure is [exec] itself *)
@@ -1994,9 +1925,9 @@ let compile_fused_step (m : t) (cf : Code.cfunc) (pc : int) (it : Code.citem) :
    ([retired]).  A mid-prefix trap retracts the unexecuted suffix so
    [total_instrs], counters and site streams stay bit-identical with
    per-instruction execution.  The trapping instruction itself counts,
-   exactly as in [step]; mind the hook order there: its memory site is
-   counted (the site hook runs before the body) but its register site is
-   not (the register hook runs after it).  The ender runs through its
+   exactly as in [step]; mind the stream order there: its memory site is
+   counted (before the body runs) but its register site is not (that
+   count follows the body).  The ender runs through its
    regular per-instruction closure, keeping its own hooks, timing,
    prediction and control transfer intact.  Prefixes never contain branch
    instructions ([fl_branch] ops are all enders), so no branch counter is
@@ -2005,8 +1936,6 @@ let compile_block (m : t) (cf : Code.cfunc)
     (kc : (thread -> frame -> int) array) (s : int) (plen : int)
     (ender : int option) : thread -> frame -> int =
   let code = cf.Code.code in
-  let cfg = m.cfg in
-  let hardened = cf.Code.cf_hardened in
   (* suffix sums of the prefix's counter deltas, for trap retraction:
      [suf_X.(i)] covers prefix steps [i .. plen-1] *)
   let suf_uops = Array.make (plen + 1) 0 in
@@ -2023,8 +1952,8 @@ let compile_block (m : t) (cf : Code.cfunc)
     suf_avx.(i) <- suf_avx.(i + 1) + one (fl land Code.fl_avx <> 0);
     suf_loads.(i) <- suf_loads.(i + 1) + one (fl land Code.fl_load <> 0);
     suf_stores.(i) <- suf_stores.(i + 1) + one (fl land Code.fl_store <> 0);
-    suf_sites.(i) <- suf_sites.(i + 1) + one (reg_site cfg it);
-    suf_msites.(i) <- suf_msites.(i + 1) + one (mem_site cfg ~hardened it)
+    suf_sites.(i) <- suf_sites.(i + 1) + one (fl land Code.fl_inject <> 0);
+    suf_msites.(i) <- suf_msites.(i + 1) + one (fl land Code.fl_mem_site <> 0)
   done;
   let t_uops = suf_uops.(0) and t_avx = suf_avx.(0) in
   let t_loads = suf_loads.(0) and t_stores = suf_stores.(0) in
@@ -2122,7 +2051,6 @@ let kcompile (m : t) =
         if fuse && n > 0 then begin
           let l = leaders cf in
           let kc = m.kcode.(cf.Code.cf_id) in
-          let hardened = cf.Code.cf_hardened in
           for s = 0 to n - 1 do
             if l.(s) && not (is_ender code.(s)) then begin
               let e = ref (s + 1) in
@@ -2134,8 +2062,9 @@ let kcompile (m : t) =
                 let ender = if l.(!e) then None else Some !e in
                 let sites = ref 0 and msites = ref 0 in
                 for j = s to !e - 1 do
-                  if reg_site cfg code.(j) then incr sites;
-                  if mem_site cfg ~hardened code.(j) then incr msites
+                  let fl = code.(j).Code.flags in
+                  if fl land Code.fl_inject <> 0 then incr sites;
+                  if fl land Code.fl_mem_site <> 0 then incr msites
                 done;
                 let fb =
                   {
@@ -2498,7 +2427,7 @@ let restore ?(cfg = default_config) (sn : snapshot) : t =
   let mem = Memory.of_pages sn.sn_pages sn.sn_meta in
   let alloc_sizes = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace alloc_sizes k v) sn.sn_allocs;
-  let reg_fire_at, mem_fire_at = fire_points cfg in
+  let reg_fire_at, mem_fire_at, br_fire_at = fire_points cfg in
   let m =
     {
       code = sn.sn_code;
@@ -2527,6 +2456,7 @@ let restore ?(cfg = default_config) (sn : snapshot) : t =
       inject_class = "";
       reg_fire_at;
       mem_fire_at;
+      br_fire_at;
       blk_left = 0;
       fused_instrs = 0;
       start_instrs = sn.sn_total_instrs;

@@ -89,8 +89,10 @@ val fault_kind_to_string : fault_kind -> string
     register of the [at]-th injection-eligible dynamic instruction — one
     lane always, optionally a second (lane, bit) for multi-bit SEUs.  The
     other kinds draw [at] against their own deterministic site streams
-    ([mem_sites] / [branch_sites] of a counting run) and ignore [lane]
-    and [second]. *)
+    ([mem_sites] / [branch_sites] of the golden run) and ignore [lane]
+    and [second].  Every run counts all three streams, whatever it arms,
+    so site [k] of a stream is the same dynamic instruction in every run
+    that reaches it. *)
 type inject = {
   at : int;
   lane : int;
@@ -113,8 +115,8 @@ val second_flip :
     instruction, on first execution, into a closure specialized on its
     operands and the config's hooks, and fuses every straight-line run
     into a superblock closure with a precompiled static timing plan and
-    bulk-counted counters and fault sites (site census, undo-log stores
-    and votes included).  A run-time guard deoptimizes only the one block
+    bulk-counted counters and fault sites (undo-log stores and votes
+    included).  A run-time guard deoptimizes only the one block
     instance whose site window holds the armed fault, which then runs on
     the per-instruction closures; tracing and profiling disable fusion
     for the whole run.  [Reference] is the original interpreter, kept as
@@ -137,8 +139,9 @@ exception Abort
 type config = {
   max_instrs : int;  (** exceeded -> Hang *)
   inject : inject option;
-  count_inject_sites : bool;
-  stack_size : int;  (** per-thread *)
+      (** the armed fault, if any.  Site counting does not depend on it:
+          every run counts the register, memory and branch site streams
+          ({!result}'s [inject_sites], [mem_sites], [branch_sites]) *)
   reexec_retries : int;
       (** re-execution recovery budget: >0 checkpoints each outermost
           hardened call so [elzar_reexec] can roll back and retry that
@@ -209,6 +212,7 @@ type t = {
       (** [inj_count] value at which the armed fault fires ([max_int]
           when no register fault is armed) *)
   mem_fire_at : int;  (** same, for the [mem_count] stream *)
+  br_fire_at : int;  (** same, for the [br_count] stream *)
   mutable blk_left : int;
       (** steps still to run in the executing fused block (0 outside
           one): [total_instrs] already counts them *)

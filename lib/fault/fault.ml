@@ -88,15 +88,14 @@ let run_machine (spec : run_spec) (cfg : Cpu.Machine.config) :
 let run_with (spec : run_spec) (cfg : Cpu.Machine.config) : Cpu.Machine.result =
   snd (run_machine spec cfg)
 
-(* Fault-free reference run; also counts the injection-eligible dynamic
-   instructions (the "instruction trace" step of §IV-B) and the
-   memory-access / conditional-branch site streams of the other fault
-   kinds. *)
+(* Fault-free reference run.  Like every run, it counts the
+   injection-eligible dynamic instructions (the "instruction trace" step
+   of §IV-B) and the memory-access / conditional-branch site streams of
+   the other fault kinds; campaigns draw their sites from its counts. *)
 let golden_cfg (spec : run_spec) : Cpu.Machine.config =
   {
     Cpu.Machine.default_config with
     max_instrs = spec.max_instrs;
-    count_inject_sites = true;
     reexec_retries = spec.reexec_retries;
     engine = spec.engine;
   }
@@ -272,14 +271,6 @@ let inject_one (spec : run_spec) ~(golden : Cpu.Machine.result) ~(at : int) ~(la
     ~(bit : int) : outcome =
   classify ~golden
     (run_experiment spec { at; lane; bit; second = None; kind = Cpu.Machine.Reg_flip })
-
-(* Multi-bit experiment: two flips in the same destination register
-   (paper §III-C's extended-recovery discussion). *)
-let inject_two (spec : run_spec) ~(golden : Cpu.Machine.result) ~(at : int) ~(lane : int)
-    ~(bit : int) ~(lane2 : int) ~(bit2 : int) : outcome =
-  classify ~golden
-    (run_experiment spec
-       { at; lane; bit; second = Some (lane2, bit2); kind = Cpu.Machine.Reg_flip })
 
 type stats = {
   runs : int;

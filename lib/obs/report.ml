@@ -16,8 +16,10 @@ module J = Obs.Json
    became "compiled".
    v5: execution-path diagnostics — campaign "timing" gained
    "instrs_fused"/"instrs_stepped"/"instrs_ff_skipped"/"fused_fraction",
-   and run documents gained a "timing" section with the same members. *)
-let version = 5
+   and run documents gained a "timing" section with the same members.
+   v6: one fault-site rule, no census mode — "elzar.bench.interp" samples
+   dropped "mode", and its "compiled_speedup" is keyed by flavour alone. *)
+let version = 6
 
 let versioned ~(schema : string) (fields : (string * J.t) list) : J.t =
   J.Obj (("schema", J.Str schema) :: ("version", J.Int version) :: fields)

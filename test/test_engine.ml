@@ -85,17 +85,47 @@ let check_inject_engines () =
       (Cpu.Machine.Branch_flip, 1_000, 0);
     ]
 
-(* the counting (site-census) runs must agree too *)
-let check_count_sites () =
+(* site streams are a property of the code: every run counts all three,
+   whatever it arms.  A plain run and runs armed past the end of each
+   kind's own stream (so nothing fires) report the golden run's register,
+   memory and branch site counts, under both engines *)
+let check_site_streams () =
   let w = Workloads.Registry.find "linreg" in
   let harden = Elzar.Hardened Elzar.Harden_config.default in
-  let run engine =
-    Workloads.Workload.execute
-      ~machine_cfg:
-        { Cpu.Machine.default_config with Cpu.Machine.engine; count_inject_sites = true }
-      w ~build:harden ~nthreads:2 ~size:Workloads.Workload.Tiny
+  let spec = Workloads.Workload.fi_spec w ~build:harden () in
+  let streams (r : Cpu.Machine.result) =
+    (r.Cpu.Machine.inject_sites, r.Cpu.Machine.mem_sites, r.Cpu.Machine.branch_sites)
   in
-  check_result "count-sites" (run Cpu.Machine.Reference) (run Cpu.Machine.Compiled)
+  let golden = streams (Fault.golden spec) in
+  let regs, mems, brs = golden in
+  Alcotest.(check bool) "golden counts every stream" true (regs > 0 && mems > 0 && brs > 0);
+  let run cfg =
+    let m = Cpu.Machine.create ~cfg ~flags_cmp:spec.Fault.flags_cmp spec.Fault.modul in
+    spec.Fault.init m;
+    Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry
+  in
+  List.iter
+    (fun engine ->
+      let cfg =
+        { (cfg_with engine) with Cpu.Machine.reexec_retries = spec.Fault.reexec_retries }
+      in
+      let e = Cpu.Machine.engine_to_string engine in
+      Alcotest.(check (triple int int int)) (e ^ ": plain run") golden (streams (run cfg));
+      List.iter
+        (fun (kind, past) ->
+          let name = Printf.sprintf "%s: %s armed past its stream" e
+              (Cpu.Machine.fault_kind_to_string kind) in
+          let inject = Some { Cpu.Machine.at = past + 1; lane = 1; bit = 13; second = None; kind } in
+          let r = run { cfg with Cpu.Machine.inject } in
+          Alcotest.(check bool) (name ^ ": not reached") false r.Cpu.Machine.fault_injected;
+          Alcotest.(check (triple int int int)) name golden (streams r))
+        [
+          (Cpu.Machine.Reg_flip, regs);
+          (Cpu.Machine.Mem_flip, mems);
+          (Cpu.Machine.Addr_flip, mems);
+          (Cpu.Machine.Branch_flip, brs);
+        ])
+    Cpu.Machine.engines
 
 (* snapshot/restore: the snapshot-taking run and a resume from any mid-run
    snapshot must reproduce the reference straight run bit-for-bit, under
@@ -191,7 +221,7 @@ let is_ender (it : Cpu.Code.citem) =
 (* Dynamic site numbers of an executed instance of the fused block whose
    prefix holds the most sites of one stream ([mem] selects the memory
    stream, else the register stream), taking its first instance that has
-   a site before it: a traced reference census run names every executed
+   a site before it: a traced reference run names every executed
    instruction in order (up to the trace cap), and [m_blk]'s block table
    says where fused prefixes start.  Returns the site count before the
    block and the number of sites in its prefix. *)
@@ -200,8 +230,7 @@ let block_window (spec : Fault.run_spec) (m_blk : Cpu.Machine.t) ~(mem : bool) :
   let cfg =
     {
       (cfg_with Cpu.Machine.Reference) with
-      Cpu.Machine.count_inject_sites = true;
-      trace = Some buf;
+      Cpu.Machine.trace = Some buf;
       reexec_retries = spec.Fault.reexec_retries;
     }
   in
@@ -209,10 +238,8 @@ let block_window (spec : Fault.run_spec) (m_blk : Cpu.Machine.t) ~(mem : bool) :
   spec.Fault.init m;
   ignore (Cpu.Machine.run ~args:spec.Fault.args m spec.Fault.entry : Cpu.Machine.result);
   let code = m_blk.Cpu.Machine.code in
-  let is_site (cf : Cpu.Code.cfunc) (it : Cpu.Code.citem) =
-    let fl = it.Cpu.Code.flags in
-    if mem then cf.Cpu.Code.cf_hardened && fl land (Cpu.Code.fl_load lor Cpu.Code.fl_store) <> 0
-    else fl land Cpu.Code.fl_inject <> 0
+  let is_site (it : Cpu.Code.citem) =
+    it.Cpu.Code.flags land (if mem then Cpu.Code.fl_mem_site else Cpu.Code.fl_inject) <> 0
   in
   let prefix_sites (cf : Cpu.Code.cfunc) s =
     let blocks = m_blk.Cpu.Machine.kblocks.(cf.Cpu.Code.cf_id) in
@@ -220,7 +247,7 @@ let block_window (spec : Fault.run_spec) (m_blk : Cpu.Machine.t) ~(mem : bool) :
       if pc >= Array.length cf.Cpu.Code.code || is_ender cf.Cpu.Code.code.(pc)
          || (pc > s && blocks.(pc) <> None)
       then acc
-      else go (pc + 1) (if is_site cf cf.Cpu.Code.code.(pc) then acc + 1 else acc)
+      else go (pc + 1) (if is_site cf.Cpu.Code.code.(pc) then acc + 1 else acc)
     in
     go s 0
   in
@@ -236,7 +263,7 @@ let block_window (spec : Fault.run_spec) (m_blk : Cpu.Machine.t) ~(mem : bool) :
                 let best = match !found with Some (_, bk) -> bk | None -> 0 in
                 if !count > 0 && k > best then found := Some (!count, k)
             | None -> ());
-            if is_site cf cf.Cpu.Code.code.(pc) then incr count))
+            if is_site cf.Cpu.Code.code.(pc) then incr count))
     (String.split_on_char '\n' (Buffer.contents buf));
   match !found with
   | Some w -> w
@@ -255,7 +282,7 @@ let block_window (spec : Fault.run_spec) (m_blk : Cpu.Machine.t) ~(mem : bool) :
    the undo log of fused stores.  Default hardened blocks hold at most one memory site
    (every access is followed by its check), so a synthetic loop whose
    body makes four accesses sweeps a wider memory window too.  Finally a trap in the middle of a fused block must
-   leave the census site counts exact. *)
+   leave the site counts exact. *)
 let check_guarded_fusion () =
   let open Ir in
   let sweep ?second name (spec : Fault.run_spec) ~mem ~bit kinds =
@@ -342,7 +369,7 @@ let check_guarded_fusion () =
       [ Cpu.Machine.Mem_flip; Cpu.Machine.Addr_flip ]
   in
   Alcotest.(check bool) "loop memory sweep detects some fault" true (detected > 0);
-  (* census with a trap mid-block: one straight-line hardened block whose
+  (* site counts with a trap mid-block: one straight-line hardened block whose
      sixth instruction segfaults.  The trapping load's memory site counts
      (its hook runs before the body), its register site does not (that
      hook runs after), and nothing after it counts *)
@@ -358,14 +385,13 @@ let check_guarded_fusion () =
   Builder.store b (Builder.add b d x) p;
   Builder.ret b None;
   Verifier.verify_exn md;
-  let census engine =
-    let cfg = { (cfg_with engine) with Cpu.Machine.count_inject_sites = true } in
-    let m = Cpu.Machine.create ~cfg md in
+  let run_trap engine =
+    let m = Cpu.Machine.create ~cfg:(cfg_with engine) md in
     let r = Cpu.Machine.run ~args:[| 0L |] m "main" in
     (m, r)
   in
-  let _, r_ref = census Cpu.Machine.Reference in
-  let m_blk, r_blk = census Cpu.Machine.Compiled in
+  let _, r_ref = run_trap Cpu.Machine.Reference in
+  let m_blk, r_blk = run_trap Cpu.Machine.Compiled in
   Alcotest.(check bool)
     "mid-block trap is a segfault" true
     (match r_ref.Cpu.Machine.trap with Some (Cpu.Machine.Segfault _) -> true | _ -> false);
@@ -375,7 +401,7 @@ let check_guarded_fusion () =
   Alcotest.(check (pair int int))
     "mid-block trap ran fused" (6, 0)
     (st.Cpu.Machine.fused, st.Cpu.Machine.stepped);
-  check_result "census mid-block trap" r_ref r_blk
+  check_result "mid-block trap" r_ref r_blk
 
 (* supervision boundary discipline under the compiled engine: the abort hook
    is polled exactly once per scheduling quantum (not once per fused
@@ -504,7 +530,7 @@ let tests =
   workload_cases
   @ [
       Alcotest.test_case "equiv under injection" `Quick check_inject_engines;
-      Alcotest.test_case "equiv site census" `Quick check_count_sites;
+      Alcotest.test_case "site streams ignore arming" `Quick check_site_streams;
       Alcotest.test_case "snapshot resume (reference)" `Quick
         (check_snapshot_resume Cpu.Machine.Reference);
       Alcotest.test_case "snapshot resume (compiled)" `Quick

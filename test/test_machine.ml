@@ -60,6 +60,7 @@ let test_trap_builtin_bad_pointer () =
       (fun b -> call0 b "barrier" [ ptrc 8; i64c 2 ]);
       (fun b -> ignore (callv b ~ret:Types.i64 "rand64" [ ptrc 8 ]));
       (fun b -> call0 b "output_bytes" [ ptrc 8; i64c 4 ]);
+      (fun b -> call0 b "free" [ ptrc 8 ]);
     ];
   (* the only global sits at the first mapped page *)
   run_expect_trap
@@ -88,6 +89,29 @@ let test_malloc_too_large_returns_null () =
       let out = Bytes.of_string r.Cpu.Machine.output_bytes in
       Alcotest.(check (list int64)) "NULL, NULL, then a usable block" [ 0L; 0L; 9L ]
         (List.init 3 (fun i -> Bytes.get_int64_le out (8 * i))))
+    Cpu.Machine.engines
+
+(* Like libc, free(NULL) does nothing: a guest that frees a failed
+   allocation exits cleanly. *)
+let test_free_null_is_noop () =
+  let m = Builder.create_module () in
+  let open Builder in
+  let b, _ = func m ~hardened:false "main" [ ("n", Types.i64) ] in
+  let p = callv b ~ret:Types.ptr "malloc" [ i64c (1 lsl 40) ] in
+  call0 b "free" [ p ];
+  call0 b "output_i64" [ p ];
+  ret b None;
+  Verifier.verify_exn m;
+  List.iter
+    (fun engine ->
+      let name = Cpu.Machine.engine_to_string engine in
+      let cfg = { Cpu.Machine.default_config with engine } in
+      let r = Cpu.Machine.run_module ~cfg m "main" ~args:[| 0L |] in
+      Alcotest.(check (option string))
+        (name ^ ": no trap") None
+        (Option.map Cpu.Machine.string_of_trap r.Cpu.Machine.trap);
+      Alcotest.(check int64) (name ^ ": the failed malloc was NULL") 0L
+        (Bytes.get_int64_le (Bytes.of_string r.Cpu.Machine.output_bytes) 0))
     Cpu.Machine.engines
 
 let test_function_pointers_work () =
@@ -183,6 +207,7 @@ let tests =
     Alcotest.test_case "function pointers" `Quick test_function_pointers_work;
     Alcotest.test_case "malloc too large is NULL" `Quick test_malloc_too_large_returns_null;
     Alcotest.test_case "malloc/free" `Quick test_malloc_free_roundtrip;
+    Alcotest.test_case "free(NULL) is a no-op" `Quick test_free_null_is_noop;
     Alcotest.test_case "instruction trace" `Quick test_trace_capture;
     Alcotest.test_case "alloca stack discipline" `Quick test_alloca_stack_discipline;
   ]
